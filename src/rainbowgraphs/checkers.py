@@ -1,23 +1,20 @@
 """Executable verifiers for per-edge and per-vertex rainbow-cycle bounds.
 
-Each checker pairs a hypothesis with a conclusion and emits a structured
-CheckReport. Hypotheses are verified, not assumed: a graph that violates
-one (improper coloring, a rainbow path of the forbidden length, an empty
-vertex set V') yields a `skipped` report with a reason, never a failure,
-because the underlying statements say nothing about such graphs. Skipped
-reports carry holds=True vacuously.
+Every bound checker is one row of the spec table `_SPECS`, read by the
+single function `_check`. A row fixes the length ell or takes the
+caller's, names the hypotheses, gives the bound as a function of ell and
+the number k of colors in use, and picks the quantity compared with it:
+the maximum over edges e of f(e), the number of rainbow C_ell through e;
+the maximum degree over V', the vertices on at least one rainbow C_ell;
+or the average degree over V', kept as an exact Fraction to avoid float
+ties at the boundary. The bounds are (k-1)!/(k-ell)!, 2*ell-3 and
+(2*ell-3)^(ell-2) at any ell >= 3, and 24, 7 and 5 at ell = 5.
 
-The quantities checked, for a properly colored graph g and length ell:
-
-* per-edge count f(e): rainbow cycles of length ell through edge e is at
-  most (k-1)!/(k-ell)! when k colors are used, and at most
-  (2*ell-3)^(ell-2) whenever g has no rainbow path of length ell
-  (specialized to 4! = 24 for ell = 5);
-* every vertex on a rainbow cycle has degree at most 2*ell-3 under the
-  same freeness hypothesis (at most 7 for ell = 5);
-* for ell = 5 the average degree over V' (vertices on at least one
-  rainbow 5-cycle) is at most 5 — compared in exact rational arithmetic
-  (2*sum(d) <= 10*|V'|) to avoid float ties at the boundary.
+Hypotheses are verified, not assumed: a graph that violates one (improper
+coloring, fewer than ell colors, a rainbow path of ell edges, an empty V')
+yields a `skipped` report with a reason, never a failure, because the
+underlying statements say nothing about such graphs. Skipped reports
+carry holds=True vacuously.
 
 Checkers never mutate the input graph, and failing reports carry the
 extremal witnesses so `holds` can be recomputed from the report plus the
@@ -29,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .colored_graph import EdgeColoredGraph, degree, is_properly_colored
 from .constructions import d_star
@@ -49,115 +47,103 @@ class CheckReport:
     reason: str | None = None
 
 
+class _Spec(NamedTuple):
+    ell: int | None            # fixed length, or None for the caller's
+    bound: Callable            # (ell, k) -> bound
+    quantity: str              # "edge_max", "degree_max" or "degree_avg"
+    colors: bool = False       # hypothesis: k >= ell colors in use
+    path_free: bool = False    # hypothesis: no rainbow P_ell
+    v_prime: bool = False      # hypothesis: V' is non-empty
+
+
+#: report name -> spec, in run_suite order
+_SPECS = {
+    "k_color_edge_bound": _Spec(
+        None, lambda ell, k: math.perm(k - 1, ell - 1), "edge_max",
+        colors=True),
+    "degree_on_cycle_vertices": _Spec(
+        None, lambda ell, k: 2 * ell - 3, "degree_max", path_free=True),
+    "general_upper_per_edge": _Spec(
+        None, lambda ell, k: (2 * ell - 3) ** (ell - 2), "edge_max",
+        path_free=True),
+    "p5_edge_bound": _Spec(5, lambda ell, k: 24, "edge_max", path_free=True),
+    "p5_max_degree": _Spec(5, lambda ell, k: 7, "degree_max",
+                           path_free=True, v_prime=True),
+    "avg_degree_on_v_prime": _Spec(5, lambda ell, k: 5, "degree_avg",
+                                   path_free=True, v_prime=True),
+}
+
+
 def _skipped(name: str, reason: str) -> CheckReport:
     return CheckReport(name, holds=True, skipped=True, reason=reason)
 
 
-def _max_edge_counts(g: EdgeColoredGraph, ell: int):
-    counts = count_per_edge(g, ell)
-    observed = max(counts.values(), default=0)
-    witnesses = tuple(sorted(e for e, c in counts.items() if c == observed)) \
-        if observed > 0 else ()
-    return observed, witnesses
-
-
-def _max_degree_on(g: EdgeColoredGraph, vertices) -> tuple[int, tuple]:
-    if not vertices:
-        return 0, ()
-    degs = {v: degree(g, v) for v in vertices}
-    observed = max(degs.values())
-    return observed, tuple(sorted(v for v, d in degs.items() if d == observed))
+def _check(name: str, g: EdgeColoredGraph,
+           ell: int | None = None) -> CheckReport:
+    """Run row `name` of the table on g; fixed-length rows ignore ell."""
+    spec = _SPECS[name]
+    ell = spec.ell or ell
+    if ell < 3:
+        raise ValueError(f"cycle length must be >= 3, got {ell}")
+    k = g.num_colors
+    if not is_properly_colored(g):
+        return _skipped(name, "coloring is not proper")
+    if spec.colors and k < ell:
+        return _skipped(name, f"only {k} colors in use; "
+                              f"no rainbow cycle with {ell} edges can exist")
+    if spec.path_free and has_rainbow_path(g, ell):
+        return _skipped(name, f"graph contains a rainbow path with {ell} edges")
+    if spec.quantity == "edge_max":
+        values = count_per_edge(g, ell)
+    else:
+        values = {v: degree(g, v) for v in vertices_on_rainbow_cycles(g, ell)}
+        if spec.v_prime and not values:
+            return _skipped(name, f"no vertex lies on a rainbow cycle "
+                                  f"with {ell} edges")
+    if spec.quantity == "degree_avg":
+        observed = Fraction(sum(values.values()), len(values))
+        witnesses = tuple(sorted(values))
+    else:
+        observed = max(values.values(), default=0)
+        witnesses = tuple(sorted(x for x, d in values.items()
+                                 if d == observed)) if observed > 0 else ()
+    bound = spec.bound(ell, k)
+    return CheckReport(name, observed <= bound, bound, observed, witnesses)
 
 
 def check_k_color_edge_bound(g: EdgeColoredGraph, ell: int) -> CheckReport:
     """Per-edge rainbow-C_ell count against (k-1)!/(k-ell)! for a proper
     coloring with k colors. Vacuous (skipped) when k < ell."""
-    name = "k_color_edge_bound"
-    if ell < 3:
-        raise ValueError(f"cycle length must be >= 3, got {ell}")
-    if not is_properly_colored(g):
-        return _skipped(name, "coloring is not proper")
-    k = g.num_colors
-    if k < ell:
-        return _skipped(name, f"only {k} colors in use; "
-                              f"no rainbow cycle with {ell} edges can exist")
-    bound = math.perm(k - 1, ell - 1)
-    observed, witnesses = _max_edge_counts(g, ell)
-    return CheckReport(name, observed <= bound, bound, observed, witnesses)
+    return _check("k_color_edge_bound", g, ell)
 
 
 def check_degree_lemma(g: EdgeColoredGraph, ell: int) -> CheckReport:
     """Degrees of vertices on rainbow C_ell copies against 2*ell-3, under
     the hypothesis that g has no rainbow P_ell."""
-    name = "degree_on_cycle_vertices"
-    if ell < 3:
-        raise ValueError(f"cycle length must be >= 3, got {ell}")
-    if not is_properly_colored(g):
-        return _skipped(name, "coloring is not proper")
-    if has_rainbow_path(g, ell):
-        return _skipped(name, f"graph contains a rainbow path with {ell} edges")
-    bound = 2 * ell - 3
-    observed, witnesses = _max_degree_on(g, vertices_on_rainbow_cycles(g, ell))
-    return CheckReport(name, observed <= bound, bound, observed, witnesses)
+    return _check("degree_on_cycle_vertices", g, ell)
 
 
 def check_general_upper_per_edge(g: EdgeColoredGraph, ell: int) -> CheckReport:
     """Per-edge rainbow-C_ell count against (2*ell-3)^(ell-2), under the
     no-rainbow-P_ell hypothesis."""
-    name = "general_upper_per_edge"
-    if ell < 3:
-        raise ValueError(f"cycle length must be >= 3, got {ell}")
-    if not is_properly_colored(g):
-        return _skipped(name, "coloring is not proper")
-    if has_rainbow_path(g, ell):
-        return _skipped(name, f"graph contains a rainbow path with {ell} edges")
-    bound = (2 * ell - 3) ** (ell - 2)
-    observed, witnesses = _max_edge_counts(g, ell)
-    return CheckReport(name, observed <= bound, bound, observed, witnesses)
+    return _check("general_upper_per_edge", g, ell)
 
 
 def check_p5_edge_bound(g: EdgeColoredGraph) -> CheckReport:
     """Per-edge rainbow-C_5 count against 4! = 24 in rainbow-P_5-free
     graphs; tight on the diagonal construction."""
-    name = "p5_edge_bound"
-    if not is_properly_colored(g):
-        return _skipped(name, "coloring is not proper")
-    if has_rainbow_path(g, 5):
-        return _skipped(name, "graph contains a rainbow path with 5 edges")
-    observed, witnesses = _max_edge_counts(g, 5)
-    return CheckReport(name, observed <= 24, 24, observed, witnesses)
+    return _check("p5_edge_bound", g)
 
 
 def check_avg_degree_on_v_prime(g: EdgeColoredGraph) -> CheckReport:
     """Average degree over V' (vertices on rainbow 5-cycles) against 5,
     in exact rational arithmetic."""
-    name = "avg_degree_on_v_prime"
-    if not is_properly_colored(g):
-        return _skipped(name, "coloring is not proper")
-    if has_rainbow_path(g, 5):
-        return _skipped(name, "graph contains a rainbow path with 5 edges")
-    vprime = vertices_on_rainbow_cycles(g, 5)
-    if not vprime:
-        return _skipped(name, "no vertex lies on a rainbow cycle with 5 edges")
-    total = sum(degree(g, v) for v in vprime)
-    holds = 2 * total <= 10 * len(vprime)
-    return CheckReport(name, holds, 5, Fraction(total, len(vprime)),
-                       tuple(sorted(vprime)))
+    return _check("avg_degree_on_v_prime", g)
 
 
 def check_p5_max_degree(g: EdgeColoredGraph) -> CheckReport:
-    """Maximum degree over V' against 7 for ell = 5; the length-5
-    specialization of the degree check, kept separate for report naming."""
-    name = "p5_max_degree"
-    if not is_properly_colored(g):
-        return _skipped(name, "coloring is not proper")
-    if has_rainbow_path(g, 5):
-        return _skipped(name, "graph contains a rainbow path with 5 edges")
-    vprime = vertices_on_rainbow_cycles(g, 5)
-    if not vprime:
-        return _skipped(name, "no vertex lies on a rainbow cycle with 5 edges")
-    observed, witnesses = _max_degree_on(g, vprime)
-    return CheckReport(name, observed <= 7, 7, observed, witnesses)
+    """Maximum degree over a non-empty V' against 7 for ell = 5."""
+    return _check("p5_max_degree", g)
 
 
 def verify_construction(ell: int) -> CheckReport:
@@ -184,15 +170,5 @@ def verify_construction(ell: int) -> CheckReport:
 
 def run_suite(g: EdgeColoredGraph, ell: int) -> list[CheckReport]:
     """All checkers applicable at the given length, in a fixed order."""
-    reports = [
-        check_k_color_edge_bound(g, ell),
-        check_degree_lemma(g, ell),
-        check_general_upper_per_edge(g, ell),
-    ]
-    if ell == 5:
-        reports.extend([
-            check_p5_edge_bound(g),
-            check_p5_max_degree(g),
-            check_avg_degree_on_v_prime(g),
-        ])
-    return reports
+    return [_check(name, g, ell) for name, spec in _SPECS.items()
+            if spec.ell in (None, ell)]

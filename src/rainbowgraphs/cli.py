@@ -19,7 +19,8 @@ from . import checkers, graph_io
 from .colored_graph import EdgeColoredGraph
 from .constructions import d_star, hypercube, lower_bound_graph
 from .corpus import random_proper_graph
-from .rainbow import enumerate_rainbow_cycles, enumerate_rainbow_paths
+from .rainbow import (count_per_edge, enumerate_rainbow_cycles,
+                      enumerate_rainbow_paths)
 from .search import SearchProblem, probe_color_count, solve
 
 _THREADS_ENV = "RAINBOWGRAPHS_THREADS"
@@ -186,10 +187,7 @@ def _cmd_count(args) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     if args.cycles is not None:
         ws = enumerate_rainbow_cycles(g, args.cycles, threads=threads)
-        per_edge = {(u, v): 0 for u, v, _ in g.edges}
-        for w in ws:
-            for pair in w.edge_set():
-                per_edge[pair] += 1
+        per_edge = count_per_edge(g, args.cycles)  # reuses the cached cycles
         ell, kind = args.cycles, "cycles"
         table = [[u, v, c, per_edge[(u, v)]] for u, v, c in g.edges]
     else:

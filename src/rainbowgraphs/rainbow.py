@@ -2,9 +2,10 @@
 
 A rainbow subgraph has pairwise distinct edge colors. P_ell denotes the
 path with ell edges (ell+1 vertices), C_ell the cycle with ell edges.
-Enumeration is a DFS over vertices with a color bitmask and works on any
-colored graph, proper or not; properness is only a hypothesis of the
-checker module.
+All searches run on one DFS kernel, `_walk`, which extends a simple path
+edge by edge under a color bitmask and hands each full-length walk to a
+leaf callback. It works on any colored graph, proper or not; properness
+is only a hypothesis of the checker module.
 
 Witnesses are canonicalized so each subgraph copy appears exactly once:
 paths are stored with the lexicographically smaller endpoint first, cycles
@@ -109,58 +110,50 @@ def verify_witness(g: EdgeColoredGraph, w: RainbowWitness) -> bool:
     return all(nbr[a].get(b) == c for a, b, c in pairs)
 
 
+def _walk(adj, path: list, cols: list, cmask: int, k: int, leaf) -> bool:
+    """Extend the simple path `path` (edge colors `cols`, used colors the
+    bits of `cmask`) by exactly k edges of `adj` with new vertices and
+    unused colors, calling leaf(path, cols, cmask) on each full-length walk.
+    A truthy leaf stops the walk at once, with `path` and `cols` unrestored."""
+    if not k:
+        return leaf(path, cols, cmask)
+    for u, c in adj[path[-1]]:
+        if cmask >> c & 1 or u in path:
+            continue
+        path.append(u)
+        cols.append(c)
+        if _walk(adj, path, cols, cmask | 1 << c, k - 1, leaf):
+            return True
+        cols.pop()
+        path.pop()
+    return False
+
+
 def _paths_from_root(g: EdgeColoredGraph, s: int, ell: int) -> list:
-    adj = g.adjacency
     found = []
-    path = [s]
-    on_path = {s}
 
-    def go(v: int, cmask: int, cols: list) -> None:
-        if len(cols) == ell:
-            if path[-1] > s:
-                found.append((tuple(path), tuple(cols)))
-            return
-        for u, c in adj[v]:
-            if u in on_path or cmask >> c & 1:
-                continue
-            path.append(u)
-            on_path.add(u)
-            cols.append(c)
-            go(u, cmask | 1 << c, cols)
-            cols.pop()
-            on_path.discard(u)
-            path.pop()
+    def leaf(path, cols, cmask):
+        if path[-1] > s:
+            found.append((tuple(path), tuple(cols)))
 
-    go(s, 0, [])
+    _walk(g.adjacency, [s], [], 0, ell, leaf)
     return found
 
 
 def _cycles_from_root(g: EdgeColoredGraph, r: int, ell: int) -> list:
-    adj = g.adjacency
-    nbr = g.neighbor_colors[r]
+    # r is the cycle's minimal vertex: walk ell-1 edges above r, then
+    # close back to r with an unused color
+    above = [[(u, c) for u, c in row if u > r] for row in g.adjacency]
+    back = g.neighbor_colors[r]
     found = []
-    path = [r]
-    on_path = {r}
 
-    def go(v: int, cmask: int, cols: list) -> None:
-        if len(path) == ell:
-            if path[1] < path[-1]:
-                c = nbr.get(v)
-                if c is not None and not cmask >> c & 1:
-                    found.append((tuple(path), tuple(cols) + (c,)))
-            return
-        for u, c in adj[v]:
-            if u <= r or u in on_path or cmask >> c & 1:
-                continue
-            path.append(u)
-            on_path.add(u)
-            cols.append(c)
-            go(u, cmask | 1 << c, cols)
-            cols.pop()
-            on_path.discard(u)
-            path.pop()
+    def leaf(path, cols, cmask):
+        if path[1] < path[-1]:
+            c = back.get(path[-1])
+            if c is not None and not cmask >> c & 1:
+                found.append((tuple(path), (*cols, c)))
 
-    go(r, 0, [])
+    _walk(above, [r], [], 0, ell - 1, leaf)
     return found
 
 
@@ -192,36 +185,20 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph, ell: int,
     share one enumeration.
     """
     _check_len(ell, 3)
-    cached = g._cache.get(("cycles", ell))
-    if cached is None:
-        cached = _over_roots(_cycles_from_root, g, ell, threads)
-        g._cache[("cycles", ell)] = cached
-    return [RainbowWitness("cycle", vs, cs) for vs, cs in cached]
+    key = ("cycles", ell)
+    if key not in g._cache:
+        g._cache[key] = _over_roots(_cycles_from_root, g, ell, threads)
+    return [RainbowWitness("cycle", vs, cs) for vs, cs in g._cache[key]]
 
 
 def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     """True iff some rainbow path with exactly ell edges exists."""
     _check_len(ell, 1)
-    cached = g._cache.get(("haspath", ell))
-    if cached is not None:
-        return cached
-    adj = g.adjacency
-
-    def grow(v: int, on_path: set, cmask: int, depth: int) -> bool:
-        if depth == ell:
-            return True
-        for u, c in adj[v]:
-            if u in on_path or cmask >> c & 1:
-                continue
-            on_path.add(u)
-            if grow(u, on_path, cmask | 1 << c, depth + 1):
-                return True
-            on_path.discard(u)
-        return False
-
-    result = any(grow(s, {s}, 0, 0) for s in range(g.n))
-    g._cache[("haspath", ell)] = result
-    return result
+    key = ("haspath", ell)
+    if key not in g._cache:
+        g._cache[key] = any(_walk(g.adjacency, [s], [], 0, ell,
+                                  lambda *_: True) for s in range(g.n))
+    return g._cache[key]
 
 
 def count_per_edge(g: EdgeColoredGraph, ell: int) -> dict[tuple[int, int], int]:
@@ -244,38 +221,24 @@ def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
         raise ValueError("endpoint out of range")
     if x == y:
         raise ValueError("endpoints must differ")
+    # y may only be the final vertex: walk ell-1 edges avoiding y, then
+    # close to y with an unused color; forbidden colors start out used
     banned = frozenset(forbidden)
-    adj = g.adjacency
+    cmask = sum(1 << c for c in range(g.num_colors) if c in banned)
+    avoid_y = [[(u, c) for u, c in row if u != y] for row in g.adjacency]
+    back = g.neighbor_colors[y]
     found = []
-    path = [x]
-    on_path = {x}
 
-    def go(v: int, cmask: int, cols: list) -> None:
-        if len(cols) == ell:
-            if v == y:
-                found.append(canonical_path(path, cols))
-            return
-        for u, c in adj[v]:
-            if u in on_path or c in banned or cmask >> c & 1:
-                continue
-            if u == y and len(cols) + 1 < ell:
-                continue  # y may only be the final vertex
-            path.append(u)
-            on_path.add(u)
-            cols.append(c)
-            go(u, cmask | 1 << c, cols)
-            cols.pop()
-            on_path.discard(u)
-            path.pop()
+    def leaf(path, cols, cmask):
+        c = back.get(path[-1])
+        if c is not None and not cmask >> c & 1:
+            found.append(canonical_path((*path, y), (*cols, c)))
 
-    go(x, 0, [])
+    _walk(avoid_y, [x], [], cmask, ell - 1, leaf)
     found.sort()
     return [RainbowWitness("path", vs, cs) for vs, cs in found]
 
 
 def vertices_on_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> set[int]:
     """V': the set of vertices lying on at least one rainbow C_ell."""
-    out: set[int] = set()
-    for w in enumerate_rainbow_cycles(g, ell):
-        out.update(w.vertices)
-    return out
+    return {v for w in enumerate_rainbow_cycles(g, ell) for v in w.vertices}

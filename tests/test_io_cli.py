@@ -5,6 +5,7 @@ documented exit-code contract: 0 success, 1 failed check, 2 usage or
 input error. stdout carries data only; timing goes to stderr.
 """
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -285,6 +286,42 @@ def test_cli_export_formats(tmp_path, capsys):
     code, out, _ = _run(capsys, "export", "--input", str(path),
                         "--format", "json")
     assert code == 0 and json.loads(out) == graph_to_dict(d_star(3))
+
+
+# ----------------------------------------------------- CLI: golden bytes
+
+# Exit code and SHA-256 of stdout for CLI runs on fixed inputs. Never
+# regenerate these: they pin every byte of CLI text and JSON across
+# refactors of the rainbow walk kernel and the checker table. "{d5}" and
+# "{d4}" stand for files holding d_star(5) and d_star(4).
+GOLDEN_CLI = [
+    (("check", "--construction", "5", "--json"), 0,
+     "a032427149e2a4fddc88d0dee765867d2382268864504448c0c00e5c27670755"),
+    (("check", "--input", "{d5}", "--suite", "p5", "--json"), 0,
+     "32671a8979147717542550cd81a849f4e8d80b46d8d5c1f8d0de8de4808bbda4"),
+    (("check", "--input", "{d5}", "--suite", "p5"), 0,
+     "cc4b2e4b3bdc61d546e107748468d837f85cb1b8b98c7c50885a6b152ad78f77"),
+    (("check", "--random", "40", "--ell", "4", "--seed", "7", "--json"), 0,
+     "4d99d345f9744c8304440ef4e963537db69eb8057ea15c5f5b95c9a983046fec"),
+    (("count", "--input", "{d4}", "--cycles", "4", "--witnesses", "--json"), 0,
+     "c865949fc2ff412b75f7ded120753c3e826f656ae727844b6016126d3e8f00aa"),
+    (("count", "--input", "{d4}", "--paths", "3", "--witnesses"), 0,
+     "d8bb52c8c3d76acf8a70423fc714967549dc2d3103343045daba0196068a1e07"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_CLI,
+                         ids=["_".join(t.strip("-{}") for t in a)
+                              for a, _, _ in GOLDEN_CLI])
+def test_cli_output_bytes_are_frozen(argv, code, digest, tmp_path, capsys):
+    files = {}
+    for name, ell in (("d5", 5), ("d4", 4)):
+        path = tmp_path / f"{name}.cel"
+        path.write_text(write_graph_file(d_star(ell)))
+        files[name] = str(path)
+    got_code, out, _ = _run(capsys, *(a.format(**files) for a in argv))
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------- CLI: exit contract

@@ -5,6 +5,7 @@ independently with the permutation-filter enumerator in
 rainbowgraphs.reference before being frozen here.
 """
 
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -221,12 +222,26 @@ def test_oracle_equivalence_on_mixed_corpus():
     rng = Random(43)
     for _ in range(30):
         g = random_colored_graph(rng)
+        naive = {ell: naive_rainbow_paths(g, ell) for ell in (1, 2, 3, 4)}
         for ell in (1, 2, 3):
             assert _witness_set(enumerate_rainbow_paths(g, ell)) == \
-                _witness_set(naive_rainbow_paths(g, ell))
+                _witness_set(naive[ell])
+        for ell in (1, 2, 3, 4):
+            assert has_rainbow_path(g, ell) == bool(naive[ell])
         for ell in (3, 4):
             assert _witness_set(enumerate_rainbow_cycles(g, ell)) == \
                 _witness_set(naive_rainbow_cycles(g, ell))
+        # ids outside 0..k-1 name no color of g and must be no-ops
+        bans = (frozenset(), frozenset({rng.randrange(max(1, g.num_colors))}),
+                frozenset({-1, 10 ** 6}))
+        for x, y in permutations(range(g.n), 2):
+            for ell in (1, 2, 3):
+                for banned in bans:
+                    expected = [w for w in naive[ell]
+                                if {w.vertices[0], w.vertices[-1]} == {x, y}
+                                and banned.isdisjoint(w.colors)]
+                    got = rainbow_paths_between(g, x, y, ell, forbidden=banned)
+                    assert _witness_set(got) == _witness_set(expected)
 
 
 def test_thread_count_does_not_change_output():
