@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 at least one check failed, 2 usage or input
 error. stdout carries data only; diagnostics and timing go to stderr.
 Every verb has a machine-readable mode via --json with stable field
-names. Worker-thread defaults honor the RAINBOWGRAPHS_THREADS
-environment variable.
+names. --threads (default: the RAINBOWGRAPHS_THREADS environment
+variable) must be >= 1; the work currently runs serially.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--paths", type=int, metavar="ELL",
                       help="count rainbow paths with ELL edges")
     p.add_argument("--witnesses", action="store_true", help="list witness lines")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("search", help="exhaustive extremal search at small n")
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tabulate best cycle count per exact number of colors")
     p.add_argument("--colors", type=int, help="restrict to exactly this many colors")
     p.add_argument("--all-optima", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--node-budget", type=int, default=10 ** 9)
     p.add_argument("--time-budget", type=float)
     p.add_argument("--json", action="store_true")
@@ -184,14 +184,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_count(args) -> int:
     g = _read_graph(args.input)
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.cycles is not None:
-        ws = enumerate_rainbow_cycles(g, args.cycles, threads=threads)
+        ws = enumerate_rainbow_cycles(g, args.cycles, threads=args.threads)
         per_edge = count_per_edge(g, args.cycles)  # reuses the cached cycles
         ell, kind = args.cycles, "cycles"
         table = [[u, v, c, per_edge[(u, v)]] for u, v, c in g.edges]
     else:
-        ws = enumerate_rainbow_paths(g, args.paths, threads=threads)
+        ws = enumerate_rainbow_paths(g, args.paths, threads=args.threads)
         ell, kind = args.paths, "paths"
         table = None
     if args.json:
@@ -213,10 +212,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.probe_colors:
-        table = probe_color_count(args.n, args.ell,
-                                  node_budget=args.node_budget, threads=threads)
+        table = probe_color_count(args.n, args.ell, node_budget=args.node_budget,
+                                  threads=args.threads)
         if args.json:
             doc = {"rows": [list(r) for r in table.rows],
                    "exhaustive": table.exhaustive}
@@ -233,7 +231,7 @@ def _cmd_search(args) -> int:
     problem = SearchProblem(
         n=args.n, ell=args.ell, objective=objective, colors=args.colors,
         all_optima=args.all_optima, node_budget=args.node_budget,
-        time_budget=args.time_budget, threads=threads)
+        time_budget=args.time_budget, threads=args.threads)
     result = solve(problem)
     print(f"search took {result.stats['wall_time_s']:.3f}s, "
           f"{result.stats['nodes']} nodes", file=sys.stderr)

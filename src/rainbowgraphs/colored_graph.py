@@ -17,6 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Vertex ceiling of every graph, so a huge declared n fails fast instead of
+#: allocating per-vertex tables; the largest construction is hypercube(20).
+MAX_VERTICES = 1 << 20
+
 
 class EdgeColoredGraph:
     """Immutable edge-colored graph.
@@ -102,11 +106,11 @@ def build(n: int, edge_list) -> EdgeColoredGraph:
 
     Colors are renumbered to 0..k-1 preserving equality classes, in order
     of first appearance along the sorted edge list. Raises ValueError on
-    loops, duplicate pairs (same unordered pair, any colors), vertices out
-    of range, or malformed entries.
+    n outside 0..MAX_VERTICES, loops, duplicate pairs (same unordered pair,
+    any colors), vertices out of range, or malformed entries.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    if not (0 <= n <= MAX_VERTICES):
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
     cleaned = []
     seen_pairs = set()
     for entry in edge_list:

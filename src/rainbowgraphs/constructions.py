@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colored_graph import EdgeColoredGraph, build
+from .colored_graph import MAX_VERTICES, EdgeColoredGraph, build
 
 
 def hypercube(d: int) -> EdgeColoredGraph:
@@ -81,6 +81,8 @@ class ConstructionSpec:
             raise ValueError("need at least one block")
         if self.pad < 0:
             raise ValueError("padding must be nonnegative")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"{self.n} vertices exceed the limit {MAX_VERTICES}")
 
     @property
     def n(self) -> int:

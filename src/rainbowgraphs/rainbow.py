@@ -11,12 +11,12 @@ Witnesses are canonicalized so each subgraph copy appears exactly once:
 paths are stored with the lexicographically smaller endpoint first, cycles
 with their minimal vertex first followed by the lexicographically smaller
 of the two directions. Results are sorted before return, so output is
-deterministic regardless of worker count.
+deterministic. Enumeration runs in the caller's thread; the `threads`
+argument is validated and otherwise does not change the work.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .colored_graph import EdgeColoredGraph
@@ -48,7 +48,9 @@ class RainbowWitness:
         return frozenset(pairs)
 
 
-def _check_len(ell: int, low: int) -> None:
+def _check_args(ell: int, low: int, threads: int = 1) -> None:
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if ell < low:
         raise ValueError(f"length parameter must be >= {low}, got {ell}")
     if ell > MAX_LEN:
@@ -157,23 +159,15 @@ def _cycles_from_root(g: EdgeColoredGraph, r: int, ell: int) -> list:
     return found
 
 
-def _over_roots(worker, g: EdgeColoredGraph, ell: int, threads: int) -> list:
-    roots = range(g.n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda s: worker(g, s, ell), roots)
-            out = [w for chunk in chunks for w in chunk]
-    else:
-        out = [w for s in roots for w in worker(g, s, ell)]
-    out.sort()
-    return out
+def _over_roots(worker, g: EdgeColoredGraph, ell: int) -> list:
+    return sorted(w for s in range(g.n) for w in worker(g, s, ell))
 
 
 def enumerate_rainbow_paths(g: EdgeColoredGraph, ell: int,
                             threads: int = 1) -> list[RainbowWitness]:
     """All rainbow paths with exactly ell edges, one witness per copy."""
-    _check_len(ell, 1)
-    raw = _over_roots(_paths_from_root, g, ell, threads)
+    _check_args(ell, 1, threads)
+    raw = _over_roots(_paths_from_root, g, ell)
     return [RainbowWitness("path", vs, cs) for vs, cs in raw]
 
 
@@ -184,16 +178,16 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph, ell: int,
     Results are cached on the graph (immutable), so repeated checker calls
     share one enumeration.
     """
-    _check_len(ell, 3)
+    _check_args(ell, 3, threads)
     key = ("cycles", ell)
     if key not in g._cache:
-        g._cache[key] = _over_roots(_cycles_from_root, g, ell, threads)
+        g._cache[key] = _over_roots(_cycles_from_root, g, ell)
     return [RainbowWitness("cycle", vs, cs) for vs, cs in g._cache[key]]
 
 
 def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     """True iff some rainbow path with exactly ell edges exists."""
-    _check_len(ell, 1)
+    _check_args(ell, 1)
     key = ("haspath", ell)
     if key not in g._cache:
         g._cache[key] = any(_walk(g.adjacency, [s], [], 0, ell,
@@ -216,7 +210,7 @@ def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
                           forbidden=frozenset()) -> list[RainbowWitness]:
     """Rainbow paths from x to y with exactly ell edges avoiding all colors
     in `forbidden`."""
-    _check_len(ell, 1)
+    _check_args(ell, 1)
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError("endpoint out of range")
     if x == y:

@@ -13,20 +13,19 @@ freeness constraint. For max_rainbow_cycles a remaining-capacity cut
 drops a representative when its cycle count plus (addable edges) x
 (per-edge capacity (2*ell-3)^(ell-2)) cannot beat the incumbent; the cut
 is strict, so optimum ties are never lost and the stored optima set is
-complete. For max_edges the analogous cut uses the trivial addable bound
-and never fires at these sizes; per-edge degree caps are heuristics for
-cycle counting only, never a correctness assumption here.
+complete. max_edges needs no cut: its incumbent is an evaluated edge
+count, which no room of at most n(n-1)/2 edges can fall below. Per-edge
+degree caps are heuristics for cycle counting only, never a correctness
+assumption here.
 
-Work is distributed over worker threads per representative and merged in
-a fixed order, so value, witness bytes, and node counts are identical for
-any thread count. Budget truncation is applied during the ordered merge
-at an exact node index, keeping truncated runs deterministic too.
+Everything runs in the caller's thread in a fixed order (`threads` is
+validated but idle), so value, witness bytes, node counts and budget
+truncation at an exact node are reproducible.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -104,12 +103,11 @@ def _objective_value(g: EdgeColoredGraph, p: SearchProblem) -> int:
 
 
 def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
-    """All feasible one-edge extensions of a representative, in a fixed
-    order. Returns (events, nodes): each event is a (key, graph) child or
-    None for an infeasible candidate; the caller replays events in order
-    so budget cutoffs are exact and thread-independent."""
+    """Yield one event per one-edge extension of a representative, in a
+    fixed order: the canonical (key, graph) pair of a feasible child, or
+    None for an infeasible one. Lazy, so a node budget stops the work at
+    the exact candidate that breaches it."""
     nbr = g.neighbor_colors
-    events = []
     max_new = p.colors if p.colors is not None else p.n * p.n
     for u, v in combinations(range(g.n), 2):
         if v in nbr[u]:
@@ -121,10 +119,9 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
         for c in allowed:
             child = build(g.n, g.edges + ((u, v, c),))
             if has_rainbow_path(child, p.ell):
-                events.append(None)
+                yield None
             else:
-                events.append(canonical_form(child))
-    return events
+                yield canonical_form(child)
 
 
 def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:
@@ -145,78 +142,58 @@ def _run(p: SearchProblem):
     per_k: dict[int, int] = {}
     truncated = None
 
-    pool = ThreadPoolExecutor(max_workers=p.threads) if p.threads > 1 else None
-    try:
-        # level entries are (canonical key, canonical graph) pairs
-        level = [canonical_form(build(p.n, []))]
-        while level and truncated is None:
-            stats["levels"] += 1
-            # Phase 1: evaluate representatives (deterministic order).
-            if pool is not None:
-                values = list(pool.map(lambda e: _objective_value(e[1], p), level))
-            else:
-                values = [_objective_value(g, p) for _, g in level]
-            for (ck, g), val in zip(level, values):
-                if not _eligible(g, p):
-                    continue
-                stats["evaluated"] += 1
-                k = g.num_colors
-                if per_k.get(k, -1) < val:
-                    per_k[k] = val
-                if best is None or val > best:
-                    best = val
-                    optima = {ck: g}
-                elif val == best:
-                    optima.setdefault(ck, g)
+    # level entries are (canonical key, canonical graph) pairs
+    level = [canonical_form(build(p.n, []))]
+    while level and truncated is None:
+        stats["levels"] += 1
+        # Phase 1: evaluate representatives (deterministic order).
+        values = [_objective_value(g, p) for _, g in level]
+        for (ck, g), val in zip(level, values):
+            if not _eligible(g, p):
+                continue
+            stats["evaluated"] += 1
+            k = g.num_colors
+            if per_k.get(k, -1) < val:
+                per_k[k] = val
+            if best is None or val > best:
+                best = val
+                optima = {ck: g}
+            elif val == best:
+                optima.setdefault(ck, g)
 
-            # Phase 2: extend, with the remaining-capacity cut (strict, so
-            # optimum ties survive for the all-optima listing).
-            frontier = []
-            for (ck, g), val in zip(level, values):
-                if p.prune_bound and best is not None:
-                    if p.objective == "max_rainbow_cycles":
-                        room = val + (total_pairs - g.m) * cap
+        # Phase 2: extend, with the remaining-capacity cut (strict, so
+        # optimum ties survive for the all-optima listing).
+        children: dict = {}
+        child_list: list = []
+        for (_, g), val in zip(level, values):
+            if p.prune_bound and best is not None \
+                    and p.objective == "max_rainbow_cycles" \
+                    and val + (total_pairs - g.m) * cap < best:
+                stats["pruned_bound"] += 1
+                continue
+            for ev in _extend_one(g, p):
+                stats["nodes"] += 1
+                if stats["nodes"] > p.node_budget:
+                    truncated = "nodes"
+                    break
+                if ev is None:
+                    stats["pruned_infeasible"] += 1
+                elif p.prune_iso:
+                    if ev[0] in children:
+                        stats["pruned_duplicate"] += 1
                     else:
-                        room = total_pairs
-                    if room < best:
-                        stats["pruned_bound"] += 1
-                        continue
-                frontier.append(g)
-
-            if pool is not None:
-                results = pool.map(lambda g: _extend_one(g, p), frontier)
-            else:
-                results = (_extend_one(g, p) for g in frontier)
-
-            children: dict = {}
-            child_list: list = []
-            for events in results:
-                if truncated is not None:
-                    continue  # drain the ordered iterator, discard
-                for ev in events:
-                    stats["nodes"] += 1
-                    if stats["nodes"] > p.node_budget:
-                        truncated = "nodes"
-                        break
-                    if ev is None:
-                        stats["pruned_infeasible"] += 1
-                    elif p.prune_iso:
-                        if ev[0] in children:
-                            stats["pruned_duplicate"] += 1
-                        else:
-                            children[ev[0]] = ev[1]
-                    else:
-                        child_list.append(ev)
-                if truncated is None and p.time_budget is not None \
-                        and time.perf_counter() - t0 > p.time_budget:
-                    truncated = "time"
-            if p.prune_iso:
-                level = sorted(children.items())
-            else:
-                level = child_list
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                        children[ev[0]] = ev[1]
+                else:
+                    child_list.append(ev)
+            if truncated is None and p.time_budget is not None \
+                    and time.perf_counter() - t0 > p.time_budget:
+                truncated = "time"
+            if truncated is not None:
+                break
+        if p.prune_iso:
+            level = sorted(children.items())
+        else:
+            level = child_list
 
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated

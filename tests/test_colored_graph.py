@@ -11,8 +11,8 @@ from random import Random
 
 import pytest
 
-from rainbowgraphs.colored_graph import (EdgeColoredGraph, build,
-                                         canonical_form, canonical_key,
+from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
+                                         build, canonical_form, canonical_key,
                                          color_partition, degree,
                                          is_properly_colored)
 from rainbowgraphs.corpus import random_proper_graph
@@ -103,6 +103,14 @@ def test_empty_graph_is_fine():
     g = build(5, [])
     assert g.m == 0 and g.num_colors == 0
     assert is_properly_colored(g)
+
+
+def test_build_vertex_ceiling():
+    assert build(1 << 20, []).n == 1 << 20
+    with pytest.raises(ValueError, match="vertex count"):
+        build(MAX_VERTICES + 1, [])
+    with pytest.raises(ValueError, match="vertex count"):
+        build(-1, [])
 
 
 # ------------------------------------------------------- basic queries

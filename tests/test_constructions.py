@@ -135,3 +135,6 @@ def test_construction_spec_validation():
         ConstructionSpec(3, 0, 0)
     with pytest.raises(ValueError):
         ConstructionSpec(3, 1, -1)
+    with pytest.raises(ValueError, match="exceed the limit"):
+        ConstructionSpec(3, 10 ** 9, 0)
+    assert ConstructionSpec(3, 1 << 18, 0).n == 1 << 20  # at the limit

@@ -59,6 +59,7 @@ def test_parse_is_write_stable():
     ("3 1\n0 0 0\n", "loop"),
     ("2 1\n0 5 0\n", "out of range"),
     ("3 2\n0 1 0\n0 1 1\n", "duplicate"),
+    ("1000000000 0\n", "vertex count must be in 0..1048576"),
 ])
 def test_parse_rejects_malformed_input(text, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -349,10 +350,36 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_cli_invalid_search_parameters_exit_2(capsys):
+def test_cli_invalid_search_parameters_exit_2(tmp_path, capsys):
     code, _, err = _run(capsys, "search", "--n", "40", "--ell", "3",
                         "--objective", "edges")
     assert code == 2 and "error:" in err
+    path = tmp_path / "g.cel"
+    path.write_text(D3_TEXT)
+    for t in ("0", "-5"):
+        for argv in (("search", "--n", "4", "--ell", "3", "--objective",
+                      "edges", "--threads", t),
+                     ("search", "--n", "4", "--ell", "3", "--probe-colors",
+                      "--threads", t),
+                     ("count", "--input", str(path), "--cycles", "3",
+                      "--threads", t),
+                     ("count", "--input", str(path), "--paths", "2",
+                      "--threads", t)):
+            code, out, err = _run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "threads must be >= 1" in err
+
+
+def test_cli_vertex_ceiling_exits_2(tmp_path, capsys):
+    # rejected before any per-vertex table is allocated
+    path = tmp_path / "huge.cel"
+    path.write_text("1000000000 0\n")
+    code, out, err = _run(capsys, "count", "--input", str(path),
+                          "--cycles", "3")
+    assert code == 2 and out == "" and "vertex count" in err
+    code, out, err = _run(capsys, "construct", "--ell", "3",
+                          "--n", "1000000000")
+    assert code == 2 and out == "" and "exceed the limit" in err
 
 
 def test_cli_broken_pipe_escapes_run(monkeypatch):

@@ -280,3 +280,8 @@ def test_length_parameter_validation():
         enumerate_rainbow_paths(g, 63)
     with pytest.raises(ValueError, match="62"):
         has_rainbow_path(g, 63)
+    for threads in (0, -5):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            enumerate_rainbow_paths(g, 1, threads=threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            enumerate_rainbow_cycles(g, 3, threads=threads)

@@ -1,5 +1,5 @@
 """Exhaustive extremal search: frozen small-n values, pruning safety,
-budget truncation, and thread determinism.
+budget truncation, thread determinism, and that no worker thread runs.
 
 Every frozen value below was first computed with the unpruned naive
 reference (all edge subsets x all matching partitions); the acceptance
@@ -7,11 +7,12 @@ suite re-runs that comparison for the full n <= 5 grid.
 """
 
 import json
+import threading
 
 import pytest
 
 from rainbowgraphs.colored_graph import is_properly_colored
-from rainbowgraphs.constructions import lower_bound_graph
+from rainbowgraphs.constructions import d_star, lower_bound_graph
 from rainbowgraphs.graph_io import result_to_dict
 from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
 from rainbowgraphs.reference import naive_search
@@ -89,6 +90,19 @@ def test_thread_count_yields_identical_serialized_results():
                                       threads=threads))
             blobs.add(json.dumps(result_to_dict(res), sort_keys=True))
         assert len(blobs) == 1
+
+
+def test_no_thread_is_started(monkeypatch):
+    # the threads knob is accepted but everything runs in the caller's
+    # thread: pure-Python work gains nothing from a GIL-bound pool
+    def refuse(self):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    res = solve(SearchProblem(5, 3, "max_rainbow_cycles", threads=8))
+    assert res.exhaustive and res.value == FROZEN[(5, 3, "max_rainbow_cycles")]
+    table = probe_color_count(4, 3, threads=2)
+    assert table.exhaustive and table.rows
+    assert len(enumerate_rainbow_cycles(d_star(4), 4, threads=8)) == 24
 
 
 def test_node_budget_truncates_deterministically():
