@@ -8,9 +8,8 @@ package are invariant under color renaming, so normalization loses nothing.
 The module also provides the exact canonical form used for isomorph
 rejection: two graphs receive the same key iff some vertex bijection
 combined with some color bijection maps one onto the other. The
-canonicalizer does full backtracking over vertex orderings with partition
-refinement pruning, which is affordable at the sizes this toolkit targets
-(n <= 10 for search workloads).
+canonicalizer walks vertex orderings within a refined partition on an
+explicit stack, following only the least rows at each position.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Vertex ceiling of every graph, so a huge declared n fails fast instead of
-#: allocating per-vertex tables; the largest construction is hypercube(20).
-MAX_VERTICES = 1 << 20
+#: allocating per-vertex tables; the largest construction is hypercube(16).
+MAX_VERTICES = 1 << 16
 
 
 class EdgeColoredGraph:
@@ -186,24 +185,20 @@ def _refined_ranks(g: EdgeColoredGraph) -> list[int]:
     class_size = [0] * g.num_colors
     for _, _, c in g.edges:
         class_size[c] += 1
-    sig: list = [tuple(sorted(class_size[c] for _, c in adj[v]))
-                 for v in range(n)]
-    order = {s: i for i, s in enumerate(sorted(set(sig)))}
-    rank = [order[s] for s in sig]
-    distinct = len(order)
+    rank = [0] * n
+    distinct = 1
     while True:
         sig = [(rank[v],
                 tuple(sorted((rank[u], class_size[c]) for u, c in adj[v])))
                for v in range(n)]
         order = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new_rank = [order[s] for s in sig]
+        rank = [order[s] for s in sig]
         if len(order) == distinct:
-            return new_rank
+            return rank
         distinct = len(order)
-        rank = new_rank
 
 
-def _canonical_code(g: EdgeColoredGraph) -> list[tuple[int, ...]]:
+def _canonical_code(g: EdgeColoredGraph) -> tuple[tuple[int, ...], ...]:
     """Minimal edge-matrix code over all allowed vertex orderings.
 
     Row i encodes adjacency of the i-th placed vertex to the previously
@@ -211,80 +206,53 @@ def _canonical_code(g: EdgeColoredGraph) -> list[tuple[int, ...]]:
     slots assigned in order of first appearance along the code. Allowed
     orderings respect the refined vertex partition (cells in rank order),
     which is itself isomorphism-invariant, so the minimum is a complete
-    invariant. Vertices with identical labeled adjacency are automorphic
-    swaps and only the smallest is branched on.
+    invariant. A depth-first walk over a stack of prefixes finds it,
+    pushing only the next vertices with the least row (a smaller sibling
+    row beats every completion of a larger one) and, of vertices with
+    identical labeled adjacency (automorphic swaps), only the smallest.
     """
     n = g.n
     if n == 0:
-        return []
+        return ()
     rank = _refined_ranks(g)
     nbr = g.neighbor_colors
     # exact-adjacency signature for the interchangeable-vertex prune
     vsig = [tuple(sorted(nbr[v].items())) for v in range(n)]
-    ncells = max(rank) + 1
-    cells: list[list[int]] = [[] for _ in range(ncells)]
+    cells: list[list[int]] = [[] for _ in range(max(rank) + 1)]
     for v in range(n):
         cells[rank[v]].append(v)
+    # the cell every position draws from
+    cell_at = [cells[r] for r in sorted(rank)]
 
-    order: list[int] = []
-    placed = [False] * n
-    slot = [-1] * max(g.num_colors, 1)
-    next_slot = [0]
-    rows: list[tuple[int, ...]] = []
-    best: list[tuple[int, ...]] | None = None
-
-    def rec(i: int, tight: bool) -> bool:
-        nonlocal best
+    best: tuple[tuple[int, ...], ...] | None = None
+    stack: list = [((), (), {})]
+    while stack:
+        order, rows, slot = stack.pop()
+        i = len(order)
+        if best is not None and rows > best[:i]:
+            continue
         if i == n:
-            best = list(rows)
-            return True
-        cell = next(cl for cl in cells if any(not placed[v] for v in cl))
-        updated = False
+            best = rows
+            continue
+        placed = set(order)
         seen_sigs = set()
-        for v in cell:
-            if placed[v]:
-                continue
-            if vsig[v] in seen_sigs:
+        children = []
+        for v in cell_at[i]:
+            if v in placed or vsig[v] in seen_sigs:
                 continue
             seen_sigs.add(vsig[v])
-            row = []
-            assigned = []
             vn = nbr[v]
-            for j in range(i):
-                c = vn.get(order[j], -1)
-                if c < 0:
-                    row.append(0)
-                else:
-                    if slot[c] < 0:
-                        slot[c] = next_slot[0]
-                        next_slot[0] += 1
-                        assigned.append(c)
-                    row.append(1 + slot[c])
-            row_t = tuple(row)
-            child_tight = False
-            if tight and best is not None:
-                ref = best[i]
-                if row_t > ref:
-                    for c in assigned:
-                        slot[c] = -1
-                    next_slot[0] -= len(assigned)
-                    continue
-                child_tight = row_t == ref
-            placed[v] = True
-            order.append(v)
-            rows.append(row_t)
-            if rec(i + 1, child_tight):
-                updated = True
-                tight = True
-            rows.pop()
-            order.pop()
-            placed[v] = False
-            for c in assigned:
-                slot[c] = -1
-            next_slot[0] -= len(assigned)
-        return updated
-
-    rec(0, True)
+            vslot = slot
+            for u in order:
+                c = vn.get(u)
+                if c is not None and c not in vslot:
+                    vslot = {**vslot, c: len(vslot)}
+            row = tuple([1 + vslot[vn[u]] if u in vn else 0 for u in order])
+            children.append((row, v, vslot))
+        least = min(children)[0]  # ties break on v, never on the dicts
+        for row, v, vslot in reversed(children):
+            if row == least:
+                stack.append((order + (v,), rows + (row,), vslot))
     assert best is not None
     return best
 
@@ -302,14 +270,9 @@ def canonical_form(g: EdgeColoredGraph):
     cached = g._cache.get("canon")
     if cached is None:
         code = _canonical_code(g)
-        flat = []
-        edges = []
-        for i, row in enumerate(code):
-            flat.extend(row)
-            for j, cell in enumerate(row):
-                if cell:
-                    edges.append((j, i, cell - 1))
-        key = (g.n, g.num_colors, tuple(flat))
+        edges = [(j, i, cell - 1) for i, row in enumerate(code)
+                 for j, cell in enumerate(row) if cell]
+        key = (g.n, g.num_colors, tuple([x for row in code for x in row]))
         cached = (key, build(g.n, edges))
         g._cache["canon"] = cached
     return cached

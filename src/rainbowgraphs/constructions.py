@@ -24,10 +24,10 @@ def hypercube(d: int) -> EdgeColoredGraph:
     """Q_d with edges colored by differing bit position.
 
     Vertices are 0..2^d-1; edge {x, x ^ (1 << b)} gets color b. Properly
-    colored, d-regular, d * 2^(d-1) edges. Requires 1 <= d <= 20.
+    colored, d-regular, d * 2^(d-1) edges. Requires 1 <= d <= 16.
     """
-    if not (1 <= d <= 20):
-        raise ValueError(f"hypercube dimension must be in 1..20, got {d}")
+    if not (1 <= d <= 16):
+        raise ValueError(f"hypercube dimension must be in 1..16, got {d}")
     size = 1 << d
     edges = [(x, x | 1 << b, b)
              for b in range(d)

@@ -69,6 +69,8 @@ class SearchProblem:
             raise ValueError("colors must be >= 1")
         if self.node_budget < 1:
             raise ValueError("node budget must be positive")
+        if self.time_budget is not None and not self.time_budget >= 0:  # nan too
+            raise ValueError("time budget must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 

@@ -6,7 +6,9 @@ simultaneous vertex and color relabeling. The tests here check both
 directions against a brute-force isomorphism oracle on small graphs.
 """
 
+import hashlib
 import itertools
+import sys
 from random import Random
 
 import pytest
@@ -15,6 +17,7 @@ from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
                                          build, canonical_form, canonical_key,
                                          color_partition, degree,
                                          is_properly_colored)
+from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import random_proper_graph
 from rainbowgraphs.reference import matching_partitions
 
@@ -22,6 +25,14 @@ from rainbowgraphs.reference import matching_partitions
 def _relabel(g, vperm, cperm):
     edges = [(vperm[u], vperm[v], cperm[c]) for u, v, c in g.edges]
     return build(g.n, edges)
+
+
+def _circulant(n):
+    """C_n with alternating colors 0/1 plus the antipodal perfect matching
+    in color 2 (n even): a vertex-transitive cubic colored graph."""
+    edges = [(i, (i + 1) % n, i % 2) for i in range(n)]
+    edges += [(i, i + n // 2, 2) for i in range(n // 2)]
+    return build(n, edges)
 
 
 def _brute_isomorphic(a, b):
@@ -106,7 +117,7 @@ def test_empty_graph_is_fine():
 
 
 def test_build_vertex_ceiling():
-    assert build(1 << 20, []).n == 1 << 20
+    assert build(1 << 16, []).n == MAX_VERTICES
     with pytest.raises(ValueError, match="vertex count"):
         build(MAX_VERTICES + 1, [])
     with pytest.raises(ValueError, match="vertex count"):
@@ -162,14 +173,40 @@ def test_graph_equality_and_hash_follow_edge_tuples():
 
 def test_canonical_key_invariant_under_relabeling():
     rng = Random(101)
-    for _ in range(120):
-        g = random_proper_graph(rng)
+    graphs = [random_proper_graph(rng) for _ in range(120)]
+    # symmetric inputs, where backtracking over orderings blows up
+    symmetric = [hypercube(3), d_star(4), d_star(5),
+                 lower_bound_graph(12, 3), _circulant(10), _circulant(12)]
+    for g in graphs + [g for g in symmetric for _ in range(2)]:
         vperm = list(range(g.n))
         rng.shuffle(vperm)
         cperm = list(range(g.num_colors))
         rng.shuffle(cperm)
         h = _relabel(g, vperm, cperm)
         assert canonical_key(g) == canonical_key(h)
+
+
+def test_canonical_form_bytes_are_frozen():
+    # pins keys and canonical edges byte for byte: the canonicalizer may
+    # change how it finds the minimal code, never which code it returns
+    rng = Random(127)
+    graphs = [random_proper_graph(rng, n=rng.randint(2, 10), dense=i % 2 == 1)
+              for i in range(300)]
+    graphs += [hypercube(3), d_star(4), lower_bound_graph(8, 3),
+               lower_bound_graph(12, 3)]
+    h = hashlib.sha256()
+    for g in graphs:
+        key, rep = canonical_form(g)
+        h.update(repr(key).encode())
+        h.update(repr(rep.edges).encode())
+    assert h.hexdigest() == (
+        "ddfeec4d48a033433a3abbfeea18d0e67c43b24af6dea807e1e9da752b0d77a2")
+
+
+def test_canonical_key_beyond_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    key = canonical_key(build(n, []))
+    assert key == (n, 0, (0,) * (n * (n - 1) // 2))
 
 
 def test_canonical_form_returns_isomorphic_graph_with_same_key():

@@ -42,7 +42,7 @@ def test_hypercube_rejects_out_of_range_dimension():
     with pytest.raises(ValueError):
         hypercube(0)
     with pytest.raises(ValueError):
-        hypercube(21)
+        hypercube(17)
 
 
 def test_d_star3_is_k4_one_factorization():
@@ -137,4 +137,4 @@ def test_construction_spec_validation():
         ConstructionSpec(3, 1, -1)
     with pytest.raises(ValueError, match="exceed the limit"):
         ConstructionSpec(3, 10 ** 9, 0)
-    assert ConstructionSpec(3, 1 << 18, 0).n == 1 << 20  # at the limit
+    assert ConstructionSpec(3, 1 << 14, 0).n == 1 << 16  # at the limit

@@ -59,7 +59,7 @@ def test_parse_is_write_stable():
     ("3 1\n0 0 0\n", "loop"),
     ("2 1\n0 5 0\n", "out of range"),
     ("3 2\n0 1 0\n0 1 1\n", "duplicate"),
-    ("1000000000 0\n", "vertex count must be in 0..1048576"),
+    ("1000000000 0\n", "vertex count must be in 0..65536"),
 ])
 def test_parse_rejects_malformed_input(text, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -368,6 +368,11 @@ def test_cli_invalid_search_parameters_exit_2(tmp_path, capsys):
             code, out, err = _run(capsys, *argv)
             assert code == 2 and out == ""
             assert "threads must be >= 1" in err
+    for t in ("nan", "-1"):
+        code, out, err = _run(capsys, "search", "--n", "4", "--ell", "3",
+                              "--objective", "edges", "--time-budget", t)
+        assert code == 2 and out == ""
+        assert "time budget must be >= 0" in err
 
 
 def test_cli_vertex_ceiling_exits_2(tmp_path, capsys):

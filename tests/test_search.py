@@ -201,6 +201,9 @@ def test_search_problem_validation():
         SearchProblem(4, 3, "max_edges", node_budget=0)
     with pytest.raises(ValueError):
         SearchProblem(4, 3, "max_edges", threads=0)
+    for budget in (float("nan"), -1):
+        with pytest.raises(ValueError, match="time budget"):
+            SearchProblem(4, 3, "max_edges", time_budget=budget)
 
 
 def test_result_stats_present():
