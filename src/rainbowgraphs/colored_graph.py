@@ -257,27 +257,40 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[tuple[int, ...], ...]:
     return best
 
 
+def canonical_key(g: EdgeColoredGraph):
+    """Opaque isomorphism-class key (vertex bijection + color bijection).
+
+    Equal keys mean a vertex bijection plus a color bijection maps one
+    graph onto the other. The key is (n, k, flattened canonical code) and
+    is cached on the graph; no graph is built for it, so rejecting a
+    duplicate costs only the canonical walk. Requires a properly colored
+    input.
+    """
+    key = g._cache.get("key")
+    if key is None:
+        if not is_properly_colored(g):
+            raise ValueError("canonical form requires a properly colored graph")
+        code = _canonical_code(g)
+        key = (g.n, g.num_colors, tuple([x for row in code for x in row]))
+        g._cache["key"] = key
+    return key
+
+
 def canonical_form(g: EdgeColoredGraph):
     """Return (key, canonically relabeled graph).
 
-    The key is an opaque hashable value; equal keys mean a vertex bijection
-    plus a color bijection maps one graph onto the other. The relabeled
-    graph is the canonical representative itself, identical bytes for every
-    member of an isomorphism class. Requires a properly colored input.
+    The key is canonical_key(g). The relabeled graph is the canonical
+    representative itself, identical bytes for every member of an
+    isomorphism class; it is built from the code held in the key, only
+    when asked for, and then cached.
     """
-    if not is_properly_colored(g):
-        raise ValueError("canonical form requires a properly colored graph")
     cached = g._cache.get("canon")
     if cached is None:
-        code = _canonical_code(g)
-        edges = [(j, i, cell - 1) for i, row in enumerate(code)
-                 for j, cell in enumerate(row) if cell]
-        key = (g.n, g.num_colors, tuple([x for row in code for x in row]))
+        key = canonical_key(g)
+        # cell j of row i sits at flat index i*(i-1)/2 + j
+        pairs = [(j, i) for i in range(g.n) for j in range(i)]
+        edges = [(j, i, cell - 1) for (j, i), cell in zip(pairs, key[2])
+                 if cell]
         cached = (key, build(g.n, edges))
         g._cache["canon"] = cached
     return cached
-
-
-def canonical_key(g: EdgeColoredGraph):
-    """Opaque isomorphism-class key (vertex bijection + color bijection)."""
-    return canonical_form(g)[0]

@@ -185,14 +185,39 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph, ell: int,
     return [RainbowWitness("cycle", vs, cs) for vs, cs in g._cache[key]]
 
 
+def _stop(*_) -> bool:
+    return True
+
+
 def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     """True iff some rainbow path with exactly ell edges exists."""
     _check_args(ell, 1)
     key = ("haspath", ell)
     if key not in g._cache:
-        g._cache[key] = any(_walk(g.adjacency, [s], [], 0, ell,
-                                  lambda *_: True) for s in range(g.n))
+        g._cache[key] = any(_walk(g.adjacency, [s], [], 0, ell, _stop)
+                            for s in range(g.n))
     return g._cache[key]
+
+
+def has_rainbow_path_through(g: EdgeColoredGraph, u: int, v: int, c: int,
+                             ell: int) -> bool:
+    """True iff adding the non-edge (u, v) with color c to g creates a
+    rainbow path with exactly ell edges that uses the new edge.
+
+    No graph is built: for each split a + (ell - 1 - a), walk a edges of g
+    from u starting at [v, u] with only c used, then turn the path around
+    and walk the remaining edges from v. For a rainbow-P_ell-free g this
+    decides whether g + (u, v, c) has a rainbow P_ell at all.
+    """
+    _check_args(ell, 1)
+    adj = g.adjacency
+    for a in range(ell):
+        def leaf(path, cols, cmask, rest=ell - 1 - a):
+            return _walk(adj, path[::-1], cols[::-1], cmask, rest, _stop)
+
+        if _walk(adj, [v, u], [c], 1 << c, a, leaf):
+            return True
+    return False
 
 
 def count_per_edge(g: EdgeColoredGraph, ell: int) -> dict[tuple[int, int], int]:

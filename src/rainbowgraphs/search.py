@@ -8,6 +8,14 @@ per class (colored_graph.canonical_form), which is sound because the
 constraint (no rainbow path of length ell) is closed under edge deletion:
 every feasible graph with m+1 edges extends a feasible graph with m edges.
 
+The cheap tests run on the parent, and only what survives is built
+(McKay, "Isomorph-free exhaustive generation", 1998). A parent is
+rainbow-P_ell-free, so candidate edge (u, v, c) makes an infeasible child
+exactly when a rainbow P_ell runs through it; rainbow.has_rainbow_path_through
+decides that on the parent's adjacency, and infeasible children are never
+built. A feasible child is deduplicated by its canonical key alone; the
+canonical graph is built only for a key not seen before at this level.
+
 Objectives: max_edges and max_rainbow_cycles, both under the rainbow-path
 freeness constraint. For max_rainbow_cycles a remaining-capacity cut
 drops a representative when its cycle count plus (addable edges) x
@@ -29,9 +37,10 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .colored_graph import (EdgeColoredGraph, build, canonical_form, degree,
-                            is_properly_colored)
-from .rainbow import enumerate_rainbow_cycles, has_rainbow_path
+from .colored_graph import (EdgeColoredGraph, build, canonical_form,
+                            canonical_key, degree, is_properly_colored)
+from .rainbow import (enumerate_rainbow_cycles, has_rainbow_path,
+                      has_rainbow_path_through)
 
 _OBJECTIVES = ("max_edges", "max_rainbow_cycles")
 
@@ -106,9 +115,12 @@ def _objective_value(g: EdgeColoredGraph, p: SearchProblem) -> int:
 
 def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
     """Yield one event per one-edge extension of a representative, in a
-    fixed order: the canonical (key, graph) pair of a feasible child, or
-    None for an infeasible one. Lazy, so a node budget stops the work at
-    the exact candidate that breaches it."""
+    fixed order: the child graph if it is feasible, None if not.
+
+    g is rainbow-P_ell-free, so a child is infeasible exactly when a
+    rainbow P_ell runs through its new edge; that is decided on g's own
+    adjacency, and only feasible children are built. Lazy, so a node
+    budget stops the work at the exact candidate that breaches it."""
     nbr = g.neighbor_colors
     max_new = p.colors if p.colors is not None else p.n * p.n
     for u, v in combinations(range(g.n), 2):
@@ -119,11 +131,10 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
         if g.num_colors < max_new:
             allowed.append(g.num_colors)
         for c in allowed:
-            child = build(g.n, g.edges + ((u, v, c),))
-            if has_rainbow_path(child, p.ell):
+            if has_rainbow_path_through(g, u, v, c, p.ell):
                 yield None
             else:
-                yield canonical_form(child)
+                yield build(g.n, g.edges + ((u, v, c),))
 
 
 def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:
@@ -173,20 +184,23 @@ def _run(p: SearchProblem):
                     and val + (total_pairs - g.m) * cap < best:
                 stats["pruned_bound"] += 1
                 continue
-            for ev in _extend_one(g, p):
+            for child in _extend_one(g, p):
                 stats["nodes"] += 1
                 if stats["nodes"] > p.node_budget:
                     truncated = "nodes"
                     break
-                if ev is None:
+                if child is None:
                     stats["pruned_infeasible"] += 1
-                elif p.prune_iso:
-                    if ev[0] in children:
+                elif not p.prune_iso:
+                    child_list.append(canonical_form(child))
+                else:
+                    # key first: the canonical graph is built only for a
+                    # new class
+                    key = canonical_key(child)
+                    if key in children:
                         stats["pruned_duplicate"] += 1
                     else:
-                        children[ev[0]] = ev[1]
-                else:
-                    child_list.append(ev)
+                        children[key] = canonical_form(child)[1]
             if truncated is None and p.time_budget is not None \
                     and time.perf_counter() - t0 > p.time_budget:
                 truncated = "time"

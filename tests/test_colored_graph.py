@@ -273,6 +273,20 @@ def test_triangle_and_three_edge_path_get_different_keys():
     assert canonical_key(tri) != canonical_key(path)
 
 
+def test_key_and_form_agree_whichever_comes_first():
+    # canonical_key caches only the key; canonical_form builds its graph
+    # from that key, so the call order must not matter
+    rng = Random(131)
+    for i in range(60):
+        g = random_proper_graph(rng, dense=i % 2 == 1)
+        first_key, first_form = build(g.n, g.edges), build(g.n, g.edges)
+        key = canonical_key(first_key)
+        form_key, rep = canonical_form(first_form)
+        assert key == form_key == canonical_form(first_key)[0]
+        assert canonical_key(first_form) == key
+        assert canonical_form(first_key)[1].edges == rep.edges
+
+
 def test_canonical_form_idempotent():
     rng = Random(113)
     for _ in range(30):

@@ -8,11 +8,16 @@ input error. stdout carries data only; timing goes to stderr.
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import rainbowgraphs
 from rainbowgraphs.checkers import (CheckReport, check_avg_degree_on_v_prime,
                                     check_degree_lemma)
 from rainbowgraphs.cli import run
@@ -385,6 +390,26 @@ def test_cli_vertex_ceiling_exits_2(tmp_path, capsys):
     code, out, err = _run(capsys, "construct", "--ell", "3",
                           "--n", "1000000000")
     assert code == 2 and out == "" and "exceed the limit" in err
+
+
+def test_cli_module_runs_as_a_script(capsys):
+    # python -m rainbowgraphs.cli must run main(), not import and exit 0
+    src = str(Path(rainbowgraphs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "rainbowgraphs.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=60)
+
+    done = module("construct", "--cube", "17")
+    assert done.returncode == 2 and done.stdout == ""
+    done = module("construct", "--ell", "4", "--n", "10")
+    code, out, _ = _run(capsys, "construct", "--ell", "4", "--n", "10")
+    assert done.returncode == code == 0
+    assert done.stdout == out != ""
 
 
 def test_cli_broken_pipe_escapes_run(monkeypatch):

@@ -5,20 +5,23 @@ independently with the permutation-filter enumerator in
 rainbowgraphs.reference before being frozen here.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
 
 from rainbowgraphs.colored_graph import build
 from rainbowgraphs.constructions import d_star
-from rainbowgraphs.corpus import random_colored_graph, random_proper_graph
+from rainbowgraphs.corpus import (rainbow_free_instances, random_colored_graph,
+                                  random_proper_graph)
 from rainbowgraphs.rainbow import (RainbowWitness, count_per_edge,
                                    enumerate_rainbow_cycles,
                                    enumerate_rainbow_paths, has_rainbow_path,
+                                   has_rainbow_path_through,
                                    rainbow_paths_between, verify_witness,
                                    vertices_on_rainbow_cycles)
-from rainbowgraphs.reference import naive_rainbow_cycles, naive_rainbow_paths
+from rainbowgraphs.reference import (_has_rainbow_path_brute,
+                                     naive_rainbow_cycles, naive_rainbow_paths)
 
 
 def _witness_set(ws):
@@ -242,6 +245,75 @@ def test_oracle_equivalence_on_mixed_corpus():
                                 and banned.isdisjoint(w.colors)]
                     got = rainbow_paths_between(g, x, y, ell, forbidden=banned)
                     assert _witness_set(got) == _witness_set(expected)
+
+
+def _proper_extensions(g):
+    """Every (u, v, c) that adds a non-edge of g and keeps it properly
+    colored: c is any color free at both ends, or one new color."""
+    nbr = g.neighbor_colors
+    for u, v in combinations(range(g.n), 2):
+        if v in nbr[u]:
+            continue
+        used = set(nbr[u].values()) | set(nbr[v].values())
+        for c in range(g.num_colors + 1):
+            if c not in used:
+                yield u, v, c
+
+
+def _grown_free_graph(rng, n, ell):
+    """Random rainbow-P_ell-free proper graph: try the pairs in random
+    order, each with a random proper color, and keep the feasible edges."""
+    g = build(n, [])
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        options = [(a, b, c) for a, b, c in _proper_extensions(g)
+                   if (a, b) == (u, v)]
+        if options:
+            child = build(n, g.edges + (rng.choice(options),))
+            if not has_rainbow_path(child, ell):
+                g = child
+    return g
+
+
+def test_path_through_new_edge_matches_full_search_on_children():
+    # on a rainbow-P_ell-free parent, a child has a rainbow P_ell iff one
+    # runs through its new edge, so the through-edge test is the whole
+    # feasibility test of the search
+    rng = Random(47)
+    parents = [(ell, _grown_free_graph(rng, rng.randint(3, 7), ell))
+               for ell in range(1, 7) for _ in range(4)]
+    parents += [(ell, g) for ell in (3, 4, 5)
+                for g in rainbow_free_instances(rng, ell, 4) if g.n <= 16]
+    outcomes = set()
+    for ell, g in parents:
+        assert not has_rainbow_path(g, ell)
+        for u, v, c in _proper_extensions(g):
+            child = build(g.n, g.edges + ((u, v, c),))
+            expected = has_rainbow_path(child, ell)
+            if g.n <= 7:
+                assert _has_rainbow_path_brute(
+                    child.n, child.neighbor_colors, ell) == expected
+            got = has_rainbow_path_through(g, u, v, c, ell)
+            assert got == expected == has_rainbow_path_through(g, v, u, c, ell)
+            outcomes.add((c < g.num_colors, got))
+    # both verdicts occur, for a color the parent already uses and for a
+    # new one
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def test_path_through_new_edge_with_a_reused_color():
+    # 0-1 (color 0), 4-5 (color 1), 5-6 (color 2); joining 1 and 4 gives
+    # the path 0-1-4-5-6
+    g = build(7, [(0, 1, 0), (4, 5, 1), (5, 6, 2)])
+    assert has_rainbow_path_through(g, 1, 4, 2, 3)  # colors 0, 2, 1
+    # color 2 comes back on 5-6, a new color 3 does not
+    assert not has_rainbow_path_through(g, 1, 4, 2, 4)
+    assert has_rainbow_path_through(g, 1, 4, 3, 4)
+    assert not has_rainbow_path_through(g, 1, 4, 3, 5)
+    with pytest.raises(ValueError):
+        has_rainbow_path_through(g, 1, 4, 2, 0)
 
 
 def test_thread_count_does_not_change_output():

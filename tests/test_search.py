@@ -8,6 +8,7 @@ suite re-runs that comparison for the full n <= 5 grid.
 
 import json
 import threading
+from functools import lru_cache
 
 import pytest
 
@@ -35,7 +36,22 @@ FROZEN = {
     (5, 3, "max_rainbow_cycles"): 4,
     (5, 4, "max_edges"): 7,
     (5, 4, "max_rainbow_cycles"): 3,
+    # beyond n = 5 the search is the only evidence; each value is what
+    # the command in its comment printed, exhaustive
+    # rainbowgraphs search --n 6 --ell 4 --objective edges
+    (6, 4, "max_edges"): 9,
+    # rainbowgraphs search --n 8 --ell 3 --objective edges
+    (8, 3, "max_edges"): 12,
+    # rainbowgraphs search --n 8 --ell 3 --objective cycles
+    (8, 3, "max_rainbow_cycles"): 8,
+    # rainbowgraphs search --n 7 --ell 4 --objective cycles
+    (7, 4, "max_rainbow_cycles"): 12,
 }
+
+
+@lru_cache(maxsize=None)
+def _solve(n, ell, objective):
+    return solve(SearchProblem(n, ell, objective))
 
 
 def _value_of(g, ell, objective):
@@ -46,7 +62,7 @@ def _value_of(g, ell, objective):
 
 @pytest.mark.parametrize("n,ell,objective", sorted(FROZEN))
 def test_solve_frozen_values_and_witness_validity(n, ell, objective):
-    res = solve(SearchProblem(n, ell, objective))
+    res = _solve(n, ell, objective)
     assert res.exhaustive
     assert res.value == FROZEN[(n, ell, objective)]
     w = res.witness
@@ -145,6 +161,15 @@ def test_solve_value_at_least_construction_count():
     res = solve(SearchProblem(4, 3, "max_rainbow_cycles"))
     feasible = lower_bound_graph(4, 3)
     assert res.value >= len(enumerate_rainbow_cycles(feasible, 3))
+
+
+@pytest.mark.parametrize("n,ell,count", [(4, 3, 4), (5, 3, 4), (8, 3, 8)])
+def test_solve_value_equals_construction_count(n, ell, count):
+    # where n >= 2^(ell-1) the lower-bound construction is optimal
+    res = _solve(n, ell, "max_rainbow_cycles")
+    assert res.exhaustive
+    assert res.value == count == len(
+        enumerate_rainbow_cycles(lower_bound_graph(n, ell), ell))
 
 
 def test_probe_color_table_frozen_rows():
