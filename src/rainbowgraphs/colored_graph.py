@@ -8,8 +8,9 @@ package are invariant under color renaming, so normalization loses nothing.
 The module also provides the exact canonical form used for isomorph
 rejection: two graphs receive the same key iff some vertex bijection
 combined with some color bijection maps one onto the other. The
-canonicalizer walks vertex orderings within a refined partition on an
-explicit stack, following only the least rows at each position.
+canonicalizer builds one flat code, walking vertex orderings within a
+refined partition on an explicit stack and following only the least rows
+at each position; it starts with the isolated vertices placed in order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class EdgeColoredGraph:
 
     @property
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, color), sorted, built lazily."""
+        """Per-vertex sorted list of (neighbor, color), built lazily; the
+        table the rainbow walks read."""
         if self._adj is None:
             adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
             for u, v, c in self.edges:
@@ -66,7 +68,8 @@ class EdgeColoredGraph:
 
     @property
     def neighbor_colors(self) -> list[dict[int, int]]:
-        """Per-vertex dict neighbor -> color, built lazily."""
+        """Per-vertex dict neighbor -> color, built lazily; the table of
+        degree, properness, canonical form and edge lookups."""
         if self._nbr is None:
             nbr: list[dict[int, int]] = [{} for _ in range(self.n)]
             for u, v, c in self.edges:
@@ -143,19 +146,15 @@ def degree(g: EdgeColoredGraph, v: int) -> int:
     """Number of edges incident to v. Raises ValueError if v out of range."""
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
-    return len(g.adjacency[v])
+    return len(g.neighbor_colors[v])
 
 
 def is_properly_colored(g: EdgeColoredGraph) -> bool:
     """True iff no two edges sharing a vertex carry the same color."""
     cached = g._cache.get("proper")
     if cached is None:
-        cached = True
-        for row in g.adjacency:
-            colors = [c for _, c in row]
-            if len(set(colors)) != len(colors):
-                cached = False
-                break
+        cached = all(len(set(row.values())) == len(row)
+                     for row in g.neighbor_colors)
         g._cache["proper"] = cached
     return cached
 
@@ -181,15 +180,15 @@ def _refined_ranks(g: EdgeColoredGraph) -> list[int]:
     """Iterated refinement of vertex classes, invariant under vertex and
     color permutations. Color identity enters only through class sizes."""
     n = g.n
-    adj = g.adjacency
+    nbr = g.neighbor_colors
     class_size = [0] * g.num_colors
     for _, _, c in g.edges:
         class_size[c] += 1
     rank = [0] * n
     distinct = 1
     while True:
-        sig = [(rank[v],
-                tuple(sorted((rank[u], class_size[c]) for u, c in adj[v])))
+        sig = [(rank[v], tuple(sorted((rank[u], class_size[c])
+                                      for u, c in nbr[v].items())))
                for v in range(n)]
         order = {s: i for i, s in enumerate(sorted(set(sig)))}
         rank = [order[s] for s in sig]
@@ -198,49 +197,50 @@ def _refined_ranks(g: EdgeColoredGraph) -> list[int]:
         distinct = len(order)
 
 
-def _canonical_code(g: EdgeColoredGraph) -> tuple[tuple[int, ...], ...]:
-    """Minimal edge-matrix code over all allowed vertex orderings.
+def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
+    """Minimal flat edge-matrix code over all allowed vertex orderings.
 
-    Row i encodes adjacency of the i-th placed vertex to the previously
-    placed ones: cell j is 0 for a non-edge, otherwise 1 + color slot,
-    slots assigned in order of first appearance along the code. Allowed
-    orderings respect the refined vertex partition (cells in rank order),
-    which is itself isomorphism-invariant, so the minimum is a complete
+    Row i, the i cells from index i*(i-1)/2 on, encodes the adjacency of
+    the i-th placed vertex to the earlier ones: 0 for a non-edge, else
+    1 + color slot, slots assigned in order of first appearance. Rows at one
+    position have equal length, so flat codes compare as row sequences.
+    Allowed orderings respect the refined vertex partition (cells in rank
+    order), which is isomorphism-invariant, so the minimum is a complete
     invariant. A depth-first walk over a stack of prefixes finds it,
     pushing only the next vertices with the least row (a smaller sibling
-    row beats every completion of a larger one) and, of vertices with
-    identical labeled adjacency (automorphic swaps), only the smallest.
+    row beats every completion of a larger one). Isolated vertices, the
+    only ones that can share a neighbor -> color map in a proper
+    coloring, have the least refinement signature, so they fill the first
+    cell with all-zero rows; the walk starts with them placed in order.
     """
     n = g.n
     if n == 0:
         return ()
     rank = _refined_ranks(g)
     nbr = g.neighbor_colors
-    # exact-adjacency signature for the interchangeable-vertex prune
-    vsig = [tuple(sorted(nbr[v].items())) for v in range(n)]
     cells: list[list[int]] = [[] for _ in range(max(rank) + 1)]
     for v in range(n):
         cells[rank[v]].append(v)
     # the cell every position draws from
     cell_at = [cells[r] for r in sorted(rank)]
+    iso = tuple(v for v in range(n) if not nbr[v])
 
-    best: tuple[tuple[int, ...], ...] | None = None
-    stack: list = [((), (), {})]
+    best: tuple[int, ...] | None = None
+    stack: list = [(iso, (0,) * (len(iso) * (len(iso) - 1) // 2), {})]
     while stack:
-        order, rows, slot = stack.pop()
-        i = len(order)
-        if best is not None and rows > best[:i]:
+        order, code, slot = stack.pop()
+        # same as code > best[:len(code)]: a prefix of best compares less
+        if best is not None and code > best:
             continue
+        i = len(order)
         if i == n:
-            best = rows
+            best = code
             continue
         placed = set(order)
-        seen_sigs = set()
         children = []
         for v in cell_at[i]:
-            if v in placed or vsig[v] in seen_sigs:
+            if v in placed:
                 continue
-            seen_sigs.add(vsig[v])
             vn = nbr[v]
             vslot = slot
             for u in order:
@@ -250,9 +250,10 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[tuple[int, ...], ...]:
             row = tuple([1 + vslot[vn[u]] if u in vn else 0 for u in order])
             children.append((row, v, vslot))
         least = min(children)[0]  # ties break on v, never on the dicts
+        least_code = code + least
         for row, v, vslot in reversed(children):
             if row == least:
-                stack.append((order + (v,), rows + (row,), vslot))
+                stack.append((order + (v,), least_code, vslot))
     assert best is not None
     return best
 
@@ -261,7 +262,7 @@ def canonical_key(g: EdgeColoredGraph):
     """Opaque isomorphism-class key (vertex bijection + color bijection).
 
     Equal keys mean a vertex bijection plus a color bijection maps one
-    graph onto the other. The key is (n, k, flattened canonical code) and
+    graph onto the other. The key is (n, k, flat canonical code) and
     is cached on the graph; no graph is built for it, so rejecting a
     duplicate costs only the canonical walk. Requires a properly colored
     input.
@@ -270,8 +271,7 @@ def canonical_key(g: EdgeColoredGraph):
     if key is None:
         if not is_properly_colored(g):
             raise ValueError("canonical form requires a properly colored graph")
-        code = _canonical_code(g)
-        key = (g.n, g.num_colors, tuple([x for row in code for x in row]))
+        key = (g.n, g.num_colors, _canonical_code(g))
         g._cache["key"] = key
     return key
 

@@ -90,8 +90,9 @@ class ConstructionSpec:
 
     def realize(self) -> EdgeColoredGraph:
         block = d_star(self.ell)
-        g = disjoint_union([block] * self.copies)
-        return build(self.n, g.edges)
+        return build(self.n, [(u + s, v + s, c)
+                              for s in range(0, self.copies * block.n, block.n)
+                              for u, v, c in block.edges])
 
 
 def lower_bound_graph(n: int, ell: int) -> EdgeColoredGraph:

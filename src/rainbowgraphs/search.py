@@ -175,9 +175,10 @@ def _run(p: SearchProblem):
                 optima.setdefault(ck, g)
 
         # Phase 2: extend, with the remaining-capacity cut (strict, so
-        # optimum ties survive for the all-optima listing).
-        children: dict = {}
-        child_list: list = []
+        # optimum ties survive for the all-optima listing). Keys are
+        # distinct when pruning, so sorting the children compares no graphs.
+        children: list = []
+        seen: set = set()
         for (_, g), val in zip(level, values):
             if p.prune_bound and best is not None \
                     and p.objective == "max_rainbow_cycles" \
@@ -191,25 +192,22 @@ def _run(p: SearchProblem):
                     break
                 if child is None:
                     stats["pruned_infeasible"] += 1
-                elif not p.prune_iso:
-                    child_list.append(canonical_form(child))
-                else:
+                    continue
+                if p.prune_iso:
                     # key first: the canonical graph is built only for a
                     # new class
                     key = canonical_key(child)
-                    if key in children:
+                    if key in seen:
                         stats["pruned_duplicate"] += 1
-                    else:
-                        children[key] = canonical_form(child)[1]
+                        continue
+                    seen.add(key)
+                children.append(canonical_form(child))
             if truncated is None and p.time_budget is not None \
                     and time.perf_counter() - t0 > p.time_budget:
                 truncated = "time"
             if truncated is not None:
                 break
-        if p.prune_iso:
-            level = sorted(children.items())
-        else:
-            level = child_list
+        level = sorted(children) if p.prune_iso else children
 
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated

@@ -209,6 +209,32 @@ def test_canonical_key_beyond_recursion_limit():
     assert key == (n, 0, (0,) * (n * (n - 1) // 2))
 
 
+def test_isolated_vertices_are_placed_in_order():
+    # the walk places the cell of isolated vertices in vertex order; that
+    # is exact because in a proper coloring no two non-isolated vertices
+    # share a neighbor -> color map (their common neighbor would carry two
+    # edges of one color)
+    rng = Random(137)
+    n = 7 + sys.getrecursionlimit()
+    g = build(n, [(0, 1, 0), (1, 2, 1), (0, 2, 2),
+                  (3, 4, 0), (4, 5, 1), (5, 6, 2)])
+    key, rep = canonical_form(g)
+    for _ in range(2):
+        vperm = list(range(n))
+        rng.shuffle(vperm)
+        cperm = [0, 1, 2]
+        rng.shuffle(cperm)
+        other_key, other_rep = canonical_form(_relabel(g, vperm, cperm))
+        assert other_key == key
+        assert other_rep.edges == rep.edges
+    corpus = [random_proper_graph(rng, dense=i % 2 == 1) for i in range(300)]
+    corpus += [hypercube(3), d_star(4), d_star(5), lower_bound_graph(13, 3),
+               _circulant(12)]
+    for h in corpus:
+        maps = [tuple(sorted(m.items())) for m in h.neighbor_colors if m]
+        assert len(set(maps)) == len(maps)
+
+
 def test_canonical_form_returns_isomorphic_graph_with_same_key():
     rng = Random(103)
     for _ in range(40):

@@ -126,6 +126,13 @@ def test_construction_spec_realize_matches_lower_bound_graph():
     spec = ConstructionSpec(ell=3, copies=2, pad=1)
     assert spec.realize().edges == lower_bound_graph(9, 3).edges
     assert spec.realize().n == 2 * 4 + 1
+    # one build of the shifted blocks equals the union padded afterwards
+    for ell, copies, pad in [(3, 1, 0), (3, 3, 2), (4, 2, 5), (5, 1, 3),
+                             (5, 2, 0), (6, 3, 7)]:
+        union = disjoint_union([d_star(ell)] * copies)
+        padded = build(union.n + pad, union.edges)
+        got = ConstructionSpec(ell, copies, pad).realize()
+        assert got == padded and got.num_colors == padded.num_colors
 
 
 def test_construction_spec_validation():

@@ -19,15 +19,19 @@ import pytest
 
 import rainbowgraphs
 from rainbowgraphs.checkers import (CheckReport, check_avg_degree_on_v_prime,
-                                    check_degree_lemma)
+                                    check_degree_lemma, run_suite,
+                                    verify_construction)
 from rainbowgraphs.cli import run
 from rainbowgraphs.colored_graph import build
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import random_proper_graph
 from rainbowgraphs.graph_io import (graph_to_dict, parse_graph_file,
                                     parse_witness_line, report_to_dict,
-                                    to_dot, witness_line, write_graph_file)
-from rainbowgraphs.rainbow import enumerate_rainbow_cycles, verify_witness
+                                    result_to_dict, to_dot, witness_line,
+                                    write_graph_file)
+from rainbowgraphs.rainbow import (count_per_edge, enumerate_rainbow_cycles,
+                                   enumerate_rainbow_paths, verify_witness)
+from rainbowgraphs.search import SearchProblem, probe_color_count, solve
 
 D3_TEXT = write_graph_file(d_star(3))
 
@@ -328,6 +332,150 @@ def test_cli_output_bytes_are_frozen(argv, code, digest, tmp_path, capsys):
     got_code, out, _ = _run(capsys, *(a.format(**files) for a in argv))
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ------------------------------------------ CLI: against library calls
+
+# Every verb, on seeded inputs, in text and --json modes: stdout must be
+# exactly what the library calls it stands for produce through graph_io.
+
+
+def _json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _lines(lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _seeded_graph_files(tmp_path):
+    rng = Random(223)
+    graphs = [random_proper_graph(rng, dense=i % 2 == 1) for i in range(4)]
+    graphs += [d_star(4), lower_bound_graph(9, 3)]
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.cel"
+        path.write_text(write_graph_file(g))
+        yield g, str(path)
+
+
+def test_cli_construct_and_export_match_library(tmp_path, capsys):
+    for argv, g in ((("--ell", "4"), d_star(4)),
+                    (("--ell", "3", "--n", "11"), lower_bound_graph(11, 3)),
+                    (("--cube", "3"), hypercube(3))):
+        assert _run(capsys, "construct", *argv)[:2] == \
+            (0, write_graph_file(g))
+        assert _run(capsys, "construct", *argv, "--json")[:2] == \
+            (0, _json_text(graph_to_dict(g)))
+    for g, path in _seeded_graph_files(tmp_path):
+        for fmt, text in (("cel", write_graph_file(g)), ("dot", to_dot(g)),
+                          ("json", _json_text(graph_to_dict(g)))):
+            assert _run(capsys, "export", "--input", path,
+                        "--format", fmt)[:2] == (0, text)
+
+
+def test_cli_count_matches_library(tmp_path, capsys):
+    for g, path in _seeded_graph_files(tmp_path):
+        for kind, ell in (("cycles", 3), ("cycles", 4), ("paths", 1),
+                          ("paths", 3)):
+            if kind == "cycles":
+                ws = enumerate_rainbow_cycles(g, ell)
+                per_edge = count_per_edge(g, ell)
+                table = [[u, v, c, per_edge[(u, v)]] for u, v, c in g.edges]
+            else:
+                ws = enumerate_rainbow_paths(g, ell)
+                table = None
+            argv = ("count", "--input", path, f"--{kind}", str(ell))
+            text = [f"total {len(ws)}"]
+            doc = {"kind": kind, "ell": ell, "total": len(ws)}
+            if table is not None:
+                text += [" ".join(map(str, row)) for row in table]
+                doc["per_edge"] = table
+            assert _run(capsys, *argv)[:2] == (0, _lines(text))
+            assert _run(capsys, *argv, "--json")[:2] == (0, _json_text(doc))
+            lines = [witness_line(w) for w in ws]
+            doc["witnesses"] = lines
+            assert _run(capsys, *argv, "--witnesses")[:2] == \
+                (0, _lines(text + lines))
+            assert _run(capsys, *argv, "--witnesses", "--json")[:2] == \
+                (0, _json_text(doc))
+
+
+def _check_expected(reports, seed=None):
+    """(exit code, text, JSON) of `check` for (prefix, report) pairs."""
+    text = [] if seed is None else [f"seed {seed}"]
+    for pfx, r in reports:
+        if r.skipped:
+            text.append(f"{pfx}{r.check_name} SKIP reason: {r.reason}")
+        else:
+            verdict = "PASS" if r.holds else "FAIL"
+            text.append(f"{pfx}{r.check_name} {verdict} "
+                        f"bound={r.bound} observed={r.observed_max}")
+    doc = {"reports": [dict(report_to_dict(r), context=pfx.strip())
+                       for pfx, r in reports]}
+    if seed is not None:
+        doc["seed"] = seed
+    code = 1 if any(not r.holds for _, r in reports) else 0
+    return code, _lines(text), _json_text(doc)
+
+
+def test_cli_check_matches_library(tmp_path, capsys):
+    cases = []
+    for g, path in _seeded_graph_files(tmp_path):
+        for ell in (3, 4):
+            cases.append((("--input", path, "--ell", str(ell)),
+                          [("", r) for r in run_suite(g, ell)], None))
+        cases.append((("--input", path, "--suite", "p5"),
+                      [("", r) for r in run_suite(g, 5)], None))
+    for ell in (3, 4, 5):
+        cases.append((("--construction", str(ell)),
+                      [("", verify_construction(ell))], None))
+    rng = Random(9)
+    reports = []
+    for i in range(6):
+        g = random_proper_graph(rng, n=rng.randint(3, 7))
+        reports += [(f"graph {i} ", r) for r in run_suite(g, 4)]
+    cases.append((("--random", "6", "--ell", "4", "--seed", "9",
+                   "--max-n", "7"), reports, 9))
+    for argv, reports, seed in cases:
+        code, text, doc = _check_expected(reports, seed)
+        assert _run(capsys, "check", *argv)[:2] == (code, text)
+        assert _run(capsys, "check", *argv, "--json")[:2] == (code, doc)
+
+
+def test_cli_search_matches_library(capsys):
+    for n, ell, objective in ((4, 3, "edges"), (5, 3, "cycles"),
+                              (5, 4, "edges"), (4, 4, "cycles")):
+        full = "max_edges" if objective == "edges" else "max_rainbow_cycles"
+        for extra, kwargs in (((), {}),
+                              (("--all-optima",), {"all_optima": True}),
+                              (("--colors", "2"), {"colors": 2}),
+                              (("--node-budget", "20"), {"node_budget": 20})):
+            res = solve(SearchProblem(n, ell, full, **kwargs))
+            text = [f"value {res.value}",
+                    f"exhaustive {str(res.exhaustive).lower()}"]
+            text += [f"{key} {res.stats[key]}" for key in (
+                "nodes", "levels", "evaluated", "pruned_infeasible",
+                "pruned_duplicate", "pruned_bound")]
+            out = _lines(text)
+            if res.witness is not None:
+                out += "witness:\n" + write_graph_file(res.witness)
+            if res.optima is not None:
+                out += f"optima {len(res.optima)}\n"
+            argv = ("search", "--n", str(n), "--ell", str(ell),
+                    "--objective", objective, *extra)
+            assert _run(capsys, *argv)[:2] == (0, out)
+            assert _run(capsys, *argv, "--json")[:2] == \
+                (0, _json_text(result_to_dict(res)))
+    for n, ell, budget in ((4, 3, 10 ** 9), (5, 3, 10 ** 9), (5, 4, 30)):
+        table = probe_color_count(n, ell, node_budget=budget)
+        text = [f"exhaustive {str(table.exhaustive).lower()}"]
+        text += [f"{k} {v}" for k, v in table.rows]
+        doc = {"rows": [list(r) for r in table.rows],
+               "exhaustive": table.exhaustive}
+        argv = ("search", "--n", str(n), "--ell", str(ell), "--probe-colors",
+                "--node-budget", str(budget))
+        assert _run(capsys, *argv)[:2] == (0, _lines(text))
+        assert _run(capsys, *argv, "--json")[:2] == (0, _json_text(doc))
 
 
 # ---------------------------------------------------- CLI: exit contract

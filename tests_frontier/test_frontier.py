@@ -8,9 +8,12 @@ tier-1 `testpaths`. Run them with
 Each value is what the command in its comment printed, exhaustive.
 """
 
+from functools import lru_cache
+
 import pytest
 
 from rainbowgraphs.colored_graph import is_properly_colored
+from rainbowgraphs.constructions import lower_bound_graph
 from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
 from rainbowgraphs.search import SearchProblem, solve
 
@@ -21,12 +24,25 @@ FRONTIER = {
     (9, 3, "max_edges"): 12,
     # rainbowgraphs search --n 7 --ell 5 --objective cycles
     (7, 5, "max_rainbow_cycles"): 12,
+    # rainbowgraphs search --n 8 --ell 4 --objective cycles
+    (8, 4, "max_rainbow_cycles"): 24,
+    # rainbowgraphs search --n 10 --ell 3 --objective edges
+    (10, 3, "max_edges"): 13,
+    # rainbowgraphs search --n 7 --ell 5 --objective edges
+    (7, 5, "max_edges"): 15,
+    # rainbowgraphs search --n 10 --ell 3 --objective cycles
+    (10, 3, "max_rainbow_cycles"): 8,
 }
+
+
+@lru_cache(maxsize=None)
+def _solve(n, ell, objective):
+    return solve(SearchProblem(n, ell, objective))
 
 
 @pytest.mark.parametrize("n,ell,objective", list(FRONTIER))
 def test_frontier_value_is_exhaustive_and_witnessed(n, ell, objective):
-    res = solve(SearchProblem(n, ell, objective))
+    res = _solve(n, ell, objective)
     assert res.exhaustive
     assert res.value == FRONTIER[(n, ell, objective)]
     w = res.witness
@@ -36,3 +52,12 @@ def test_frontier_value_is_exhaustive_and_witnessed(n, ell, objective):
         assert w.m == res.value
     else:
         assert len(enumerate_rainbow_cycles(w, ell)) == res.value
+
+
+@pytest.mark.parametrize("n,ell", [(8, 4), (10, 3)])
+def test_frontier_value_equals_construction_count(n, ell):
+    # the search's optimum is attained by the paper's construction
+    res = _solve(n, ell, "max_rainbow_cycles")
+    assert res.exhaustive
+    assert res.value == len(enumerate_rainbow_cycles(lower_bound_graph(n, ell),
+                                                     ell))
