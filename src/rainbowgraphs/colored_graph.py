@@ -11,6 +11,9 @@ combined with some color bijection maps one onto the other. The
 canonicalizer builds one flat code, walking vertex orderings within a
 refined partition on an explicit stack and following only the least rows
 at each position; it starts with the isolated vertices placed in order.
+Leaves that tie the minimal code give automorphisms, from which it keeps
+generators whose orbits are the automorphism orbits, for the search's
+orbit pruning.
 """
 
 from __future__ import annotations
@@ -197,8 +200,9 @@ def _refined_ranks(g: EdgeColoredGraph) -> list[int]:
         distinct = len(order)
 
 
-def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
-    """Minimal flat edge-matrix code over all allowed vertex orderings.
+def _canonical_code(g: EdgeColoredGraph):
+    """Minimal flat edge-matrix code over all allowed vertex orderings,
+    with the ordering that first reached it and automorphism generators.
 
     Row i, the i cells from index i*(i-1)/2 on, encodes the adjacency of
     the i-th placed vertex to the earlier ones: 0 for a non-edge, else
@@ -212,10 +216,17 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
     only ones that can share a neighbor -> color map in a proper
     coloring, have the least refinement signature, so they fill the first
     cell with all-zero rows; the walk starts with them placed in order.
+
+    A leaf whose code ties the best one yields an automorphism of g that
+    maps the best leaf's order onto the tie's, position by position, with
+    the color map its edges induce. It is kept only if it joins two vertex
+    orbits of those kept so far, so at most n - 1 are kept, and together
+    they have g's automorphism orbits on the non-isolated vertices (the
+    walk fixes the isolated ones). Returns (code, order, generators).
     """
     n = g.n
     if n == 0:
-        return ()
+        return (), (), ()
     rank = _refined_ranks(g)
     nbr = g.neighbor_colors
     cells: list[list[int]] = [[] for _ in range(max(rank) + 1)]
@@ -226,15 +237,41 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
     iso = tuple(v for v in range(n) if not nbr[v])
 
     best: tuple[int, ...] | None = None
+    best_order: tuple[int, ...] = ()
+    gens: list[tuple[int, ...]] = []
+    orbit = list(range(n))  # union-find over the kept generators' orbits
+    # orbits never get coarser than the cells, and the walk fixes the
+    # isolated vertices, so no tie can join orbits once there are `floor`
+    orbits, floor = n, len(cells) + max(len(iso) - 1, 0)
+
     stack: list = [(iso, (0,) * (len(iso) * (len(iso) - 1) // 2), {})]
     while stack:
         order, code, slot = stack.pop()
+        i = len(order)
+        if i == n and code == best:
+            if orbits == floor:
+                continue
+            # the automorphism maps best_order[j] to order[j]
+            joined = orbits
+            for x, y in zip(best_order, order):
+                while orbit[x] != x:
+                    orbit[x] = x = orbit[orbit[x]]
+                while orbit[y] != y:
+                    orbit[y] = y = orbit[orbit[y]]
+                if x != y:
+                    orbit[x] = y
+                    orbits -= 1
+            if orbits < joined:
+                auto = [0] * n
+                for x, y in zip(best_order, order):
+                    auto[x] = y
+                gens.append(tuple(auto))
+            continue
         # same as code > best[:len(code)]: a prefix of best compares less
         if best is not None and code > best:
             continue
-        i = len(order)
         if i == n:
-            best = code
+            best, best_order = code, order
             continue
         placed = set(order)
         children = []
@@ -255,7 +292,18 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
             if row == least:
                 stack.append((order + (v,), least_code, vslot))
     assert best is not None
-    return best
+    return best, best_order, tuple(gens)
+
+
+def _canon_walk(g: EdgeColoredGraph):
+    """The canonical walk's (code, order, generators), cached on g."""
+    walk = g._cache.get("walk")
+    if walk is None:
+        if not is_properly_colored(g):
+            raise ValueError("canonical form requires a properly colored graph")
+        walk = _canonical_code(g)
+        g._cache["walk"] = walk
+    return walk
 
 
 def canonical_key(g: EdgeColoredGraph):
@@ -269,9 +317,7 @@ def canonical_key(g: EdgeColoredGraph):
     """
     key = g._cache.get("key")
     if key is None:
-        if not is_properly_colored(g):
-            raise ValueError("canonical form requires a properly colored graph")
-        key = (g.n, g.num_colors, _canonical_code(g))
+        key = (g.n, g.num_colors, _canon_walk(g)[0])
         g._cache["key"] = key
     return key
 
@@ -282,7 +328,9 @@ def canonical_form(g: EdgeColoredGraph):
     The key is canonical_key(g). The relabeled graph is the canonical
     representative itself, identical bytes for every member of an
     isomorphism class; it is built from the code held in the key, only
-    when asked for, and then cached.
+    when asked for, and then cached. g's walk is left on it, so that
+    automorphism_generators conjugates g's generators to its labels
+    instead of walking again.
     """
     cached = g._cache.get("canon")
     if cached is None:
@@ -291,6 +339,41 @@ def canonical_form(g: EdgeColoredGraph):
         pairs = [(j, i) for i in range(g.n) for j in range(i)]
         edges = [(j, i, cell - 1) for (j, i), cell in zip(pairs, key[2])
                  if cell]
-        cached = (key, build(g.n, edges))
+        rep = build(g.n, edges)
+        rep._cache["source_walk"] = _canon_walk(g)
+        cached = (key, rep)
         g._cache["canon"] = cached
     return cached
+
+
+def automorphism_generators(g: EdgeColoredGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex permutations generating a group of automorphisms of g (each
+    with the color bijection its edge images induce) whose vertex orbits
+    are those of g's full automorphism group, cached on g.
+
+    They are the canonical walk's tie automorphisms plus the adjacent
+    transpositions of the isolated vertices, which the walk never moves.
+    On a graph from canonical_form the walk is the source graph's, each
+    generator a conjugated to canonical labels as i -> at[a[order[i]]],
+    where order is the best ordering and at its inverse.
+    """
+    gens = g._cache.get("gens")
+    if gens is None:
+        source = g._cache.get("source_walk")
+        if source is None:
+            ties = _canon_walk(g)[2]
+        else:
+            _, order, src = source
+            at = [0] * g.n
+            for pos, v in enumerate(order):
+                at[v] = pos
+            ties = tuple(tuple([at[a[v]] for v in order]) for a in src)
+        iso = [v for v in range(g.n) if not g.neighbor_colors[v]]
+        swaps = []
+        for x, y in zip(iso, iso[1:]):
+            perm = list(range(g.n))
+            perm[x], perm[y] = y, x
+            swaps.append(tuple(perm))
+        gens = ties + tuple(swaps)
+        g._cache["gens"] = gens
+    return gens

@@ -9,12 +9,17 @@ constraint (no rainbow path of length ell) is closed under edge deletion:
 every feasible graph with m+1 edges extends a feasible graph with m edges.
 
 The cheap tests run on the parent, and only what survives is built
-(McKay, "Isomorph-free exhaustive generation", 1998). A parent is
-rainbow-P_ell-free, so candidate edge (u, v, c) makes an infeasible child
-exactly when a rainbow P_ell runs through it; rainbow.has_rainbow_path_through
-decides that on the parent's adjacency, and infeasible children are never
-built. A feasible child is deduplicated by its canonical key alone; the
-canonical graph is built only for a key not seen before at this level.
+(McKay, "Isomorph-free exhaustive generation", 1998). Candidate edges
+(u, v, c) that an automorphism of the parent maps onto each other give
+isomorphic children, so only one candidate per orbit is tried; the
+generators are the ones the parent's canonical walk found
+(colored_graph.automorphism_generators). A parent is rainbow-P_ell-free,
+so a candidate makes an infeasible child exactly when a rainbow P_ell
+runs through it; rainbow.has_rainbow_path_through decides that on the
+parent's adjacency, and infeasible children are never built. A feasible
+child is deduplicated by its canonical key alone; the canonical graph is
+built only for a key not seen before at this level. Node counts count
+the candidates tried, one per orbit.
 
 Objectives: max_edges and max_rainbow_cycles, both under the rainbow-path
 freeness constraint. For max_rainbow_cycles a remaining-capacity cut
@@ -37,8 +42,9 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .colored_graph import (EdgeColoredGraph, build, canonical_form,
-                            canonical_key, degree, is_properly_colored)
+from .colored_graph import (EdgeColoredGraph, automorphism_generators,
+                            build, canonical_form, canonical_key, degree,
+                            is_properly_colored)
 from .rainbow import (enumerate_rainbow_cycles, has_rainbow_path,
                       has_rainbow_path_through)
 
@@ -51,8 +57,9 @@ class SearchProblem:
 
     The constraint is always rainbow-P_ell-freeness. `colors` restricts
     the optimum to colorings using exactly that many classes (None: no
-    restriction). `prune_iso` and `prune_bound` exist so tests can verify
-    that pruning never changes the value.
+    restriction). `prune_iso` (isomorph rejection and orbit pruning) and
+    `prune_bound` exist so tests can verify that pruning never changes
+    the value.
     """
 
     n: int
@@ -114,27 +121,55 @@ def _objective_value(g: EdgeColoredGraph, p: SearchProblem) -> int:
 
 
 def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
-    """Yield one event per one-edge extension of a representative, in a
-    fixed order: the child graph if it is feasible, None if not.
+    """Yield one event per orbit of one-edge extensions of a canonical
+    representative, in a fixed order: the child graph if it is feasible,
+    None if not.
 
-    g is rainbow-P_ell-free, so a child is infeasible exactly when a
-    rainbow P_ell runs through its new edge; that is decided on g's own
-    adjacency, and only feasible children are built. Lazy, so a node
-    budget stops the work at the exact candidate that breaches it."""
+    Candidate edges (u, v, c) in one orbit of g's automorphism generators
+    (vertex map plus the color map it induces on g's edges, a new color
+    mapped to itself) give isomorphic children, so only the first of each
+    orbit is tried (McKay 1998); the generators may span a subgroup of the
+    automorphism group, whose finer orbits are still sound. g is
+    rainbow-P_ell-free, so a child is infeasible exactly when a rainbow
+    P_ell runs through its new edge; that is decided on g's own adjacency,
+    and only feasible children are built. The new color is free at u and
+    at v, so every child is proper. Lazy, so a node budget stops the work
+    at the exact candidate that breaches it."""
     nbr = g.neighbor_colors
+    k = g.num_colors
     max_new = p.colors if p.colors is not None else p.n * p.n
+    maps = []
+    for a in automorphism_generators(g) if p.prune_iso else ():
+        cmap = [k] * (k + 1)
+        for u, v, c in g.edges:
+            cmap[c] = nbr[a[u]][a[v]]
+        maps.append((a, cmap))
+    covered: set = set()  # candidates in the orbit of one already tried
     for u, v in combinations(range(g.n), 2):
         if v in nbr[u]:
             continue
         used = set(nbr[u].values()) | set(nbr[v].values())
-        allowed = [c for c in range(g.num_colors) if c not in used]
-        if g.num_colors < max_new:
-            allowed.append(g.num_colors)
+        allowed = [c for c in range(k) if c not in used]
+        if k < max_new:
+            allowed.append(k)
         for c in allowed:
+            if maps:
+                if (u, v, c) in covered:
+                    continue
+                orbit = [(u, v, c)]
+                covered.add((u, v, c))
+                for x, y, d in orbit:  # grows to the whole orbit
+                    for a, cmap in maps:
+                        image = (min(a[x], a[y]), max(a[x], a[y]), cmap[d])
+                        if image not in covered:
+                            covered.add(image)
+                            orbit.append(image)
             if has_rainbow_path_through(g, u, v, c, p.ell):
                 yield None
             else:
-                yield build(g.n, g.edges + ((u, v, c),))
+                child = build(g.n, g.edges + ((u, v, c),))
+                child._cache["proper"] = True
+                yield child
 
 
 def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:

@@ -1,24 +1,31 @@
 """Exhaustive extremal search: frozen small-n values, pruning safety,
-budget truncation, thread determinism, and that no worker thread runs.
+orbit pruning against unpruned extension, budget truncation, thread
+determinism, and that no worker thread runs.
 
 Every frozen value below was first computed with the unpruned naive
 reference (all edge subsets x all matching partitions); the acceptance
 suite re-runs that comparison for the full n <= 5 grid.
 """
 
+import hashlib
 import json
 import threading
 from functools import lru_cache
+from itertools import combinations
+from random import Random
 
 import pytest
 
-from rainbowgraphs.colored_graph import is_properly_colored
+from rainbowgraphs.colored_graph import (build, canonical_form, canonical_key,
+                                         is_properly_colored)
 from rainbowgraphs.constructions import d_star, lower_bound_graph
+from rainbowgraphs.corpus import rainbow_free_instances, random_proper_graph
 from rainbowgraphs.graph_io import result_to_dict
 from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
 from rainbowgraphs.reference import naive_search
 from rainbowgraphs.search import (ColorProbeTable, ExtremalResult,
-                                  SearchProblem, probe_color_count, solve,
+                                  SearchProblem, _extend_one,
+                                  probe_color_count, solve,
                                   verify_extremal_regularity)
 
 FROZEN = {
@@ -49,9 +56,53 @@ FROZEN = {
 }
 
 
+#: Candidate events (one per orbit of one-edge extensions) of the default
+#: search; deterministic, so a change that drops the automorphism
+#: generators, or tries every candidate again, moves them.
+NODES = {
+    (8, 3, "max_edges"): 4975,
+    (7, 4, "max_rainbow_cycles"): 16989,
+}
+
+#: result_to_dict with the node counters removed, over n 3..6 x ell 1..5 x
+#: both objectives with all_optima, except n = 6, ell = 5, which
+#: tests_frontier hashes; first computed before orbit pruning existed.
+GRID_DIGEST = (
+    "11104348af0c88a93914fffee42f282d10c826ef1596909c3ed189cdff35d413")
+NODE_COUNTERS = ("nodes", "pruned_infeasible", "pruned_duplicate")
+
+
 @lru_cache(maxsize=None)
 def _solve(n, ell, objective):
     return solve(SearchProblem(n, ell, objective))
+
+
+def _parents(seed, ell, count=30):
+    """Seeded canonical rainbow-P_ell-free parents on at most 10 vertices,
+    symmetric ones (construction subsets, isolated padding) included."""
+    rng = Random(seed)
+    graphs = [build(n, []) for n in (2, 5, 9)]
+    if ell >= 3:
+        graphs += [g for g in rainbow_free_instances(rng, ell, count)
+                   if g.n <= 10]
+    for _ in range(10 * count):
+        g = random_proper_graph(rng, n=rng.randint(2, 8))
+        if not has_rainbow_path(g, ell):
+            graphs += [g, build(g.n + 2, g.edges)]
+    return [canonical_form(g)[1] for g in graphs]
+
+
+def _every_child(g, p):
+    """Unpruned reference: the child of every candidate edge."""
+    nbr = g.neighbor_colors
+    colors = range(g.num_colors + (p.colors is None
+                                   or g.num_colors < p.colors))
+    for u, v in combinations(range(g.n), 2):
+        if v in nbr[u]:
+            continue
+        for c in colors:
+            if c not in nbr[u].values() and c not in nbr[v].values():
+                yield build(g.n, g.edges + ((u, v, c),))
 
 
 def _value_of(g, ell, objective):
@@ -236,3 +287,52 @@ def test_result_stats_present():
     assert isinstance(res, ExtremalResult)
     assert res.stats["nodes"] > 0
     assert "wall_time_s" not in result_to_dict(res)
+
+
+@pytest.mark.parametrize("n,ell,objective", sorted(NODES))
+def test_node_counts_are_pinned(n, ell, objective):
+    assert _solve(n, ell, objective).stats["nodes"] == NODES[(n, ell, objective)]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_orbit_pruning_keeps_every_child_class(ell):
+    # one candidate per orbit of the parent's automorphisms must still
+    # reach every isomorphism class of feasible children
+    tried = total = 0
+    for i, g in enumerate(_parents(300 + ell, ell, count=12)):
+        colors = None if i % 3 else max(g.num_colors, 1)
+        p = SearchProblem(max(g.n, 2), ell, "max_edges", colors=colors)
+        events = list(_extend_one(g, p))
+        children = list(_every_child(g, p))
+        tried += len(events)
+        total += len(children)
+        pruned = {canonical_key(c) for c in events if c is not None}
+        full = {canonical_key(c) for c in children
+                if not has_rainbow_path(c, ell)}
+        assert pruned == full
+    assert tried < total  # the parents are symmetric enough to prune
+
+
+def test_every_search_child_is_proper():
+    # the child's cached "proper" flag is set, not computed: check it
+    for ell in (1, 3, 5):
+        for g in _parents(400 + ell, ell, count=15):
+            p = SearchProblem(max(g.n, 2), ell, "max_edges")
+            for child in _extend_one(g, p):
+                if child is not None:
+                    assert is_properly_colored(build(child.n, child.edges))
+
+
+def test_grid_output_bytes_are_frozen():
+    h = hashlib.sha256()
+    for objective in ("max_edges", "max_rainbow_cycles"):
+        for n in range(3, 7):
+            for ell in range(1 if objective == "max_edges" else 3, 6):
+                if (n, ell) == (6, 5):
+                    continue
+                doc = result_to_dict(solve(SearchProblem(
+                    n, ell, objective, all_optima=True)))
+                for key in NODE_COUNTERS:
+                    del doc["stats"][key]
+                h.update(json.dumps(doc, sort_keys=True).encode())
+    assert h.hexdigest() == GRID_DIGEST

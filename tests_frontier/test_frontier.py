@@ -8,12 +8,15 @@ tier-1 `testpaths`. Run them with
 Each value is what the command in its comment printed, exhaustive.
 """
 
+import hashlib
+import json
 from functools import lru_cache
 
 import pytest
 
 from rainbowgraphs.colored_graph import is_properly_colored
 from rainbowgraphs.constructions import lower_bound_graph
+from rainbowgraphs.graph_io import result_to_dict
 from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
 from rainbowgraphs.search import SearchProblem, solve
 
@@ -61,3 +64,17 @@ def test_frontier_value_equals_construction_count(n, ell):
     assert res.exhaustive
     assert res.value == len(enumerate_rainbow_cycles(lower_bound_graph(n, ell),
                                                      ell))
+
+
+def test_n6_l5_output_bytes_are_frozen():
+    # the n = 6, ell = 5 end of tier-1's grid digest, first computed
+    # before orbit pruning existed; only the node counters may change
+    h = hashlib.sha256()
+    for objective in ("max_edges", "max_rainbow_cycles"):
+        doc = result_to_dict(solve(SearchProblem(6, 5, objective,
+                                                 all_optima=True)))
+        for key in ("nodes", "pruned_infeasible", "pruned_duplicate"):
+            del doc["stats"][key]
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "898f479d5055f822ebf45fa9448c85b826185f8463dd4a90fc53bb1cb5eae7ce")
