@@ -24,6 +24,9 @@ from .rainbow import (count_per_edge, enumerate_rainbow_cycles,
 from .search import SearchProblem, probe_color_count, solve
 
 _THREADS_ENV = "RAINBOWGRAPHS_THREADS"
+#: Vertex ceiling of check --random: a random graph lists all n(n-1)/2
+#: pairs, about 64 MB at n = 1000.
+_MAX_RANDOM_N = 1000
 
 
 def _default_threads() -> int:
@@ -84,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="preset: the length-5 checker set")
     p.add_argument("--seed", type=int, default=0, help="corpus seed for --random")
     p.add_argument("--max-n", type=int, default=10,
-                   help="vertex ceiling for --random corpora")
+                   help="vertex ceiling for --random corpora "
+                        f"(3..{_MAX_RANDOM_N})")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("count", help="count rainbow paths or cycles")
@@ -159,6 +163,14 @@ def _cmd_check(args) -> int:
     else:
         if args.ell is None:
             print("check --random needs --ell", file=sys.stderr)
+            return 2
+        if args.random < 1:
+            print(f"check --random needs COUNT >= 1, got {args.random}",
+                  file=sys.stderr)
+            return 2
+        if not 3 <= args.max_n <= _MAX_RANDOM_N:
+            print(f"--max-n must be in 3..{_MAX_RANDOM_N}, got {args.max_n}",
+                  file=sys.stderr)
             return 2
         seed = args.seed
         rng = Random(seed)

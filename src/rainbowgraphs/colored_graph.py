@@ -11,9 +11,10 @@ combined with some color bijection maps one onto the other. The
 canonicalizer builds one flat code, walking vertex orderings within a
 refined partition on an explicit stack and following only the least rows
 at each position; it starts with the isolated vertices placed in order.
-Leaves that tie the minimal code give automorphisms, from which it keeps
-generators whose orbits are the automorphism orbits, for the search's
-orbit pruning.
+Leaves that tie the minimal code and the isolated vertices'
+transpositions give generators whose orbits are the automorphism orbits,
+for the search's orbit pruning. The walk's (code, order, generators) is
+the one record a graph caches; the key and generators are read from it.
 """
 
 from __future__ import annotations
@@ -217,12 +218,13 @@ def _canonical_code(g: EdgeColoredGraph):
     coloring, have the least refinement signature, so they fill the first
     cell with all-zero rows; the walk starts with them placed in order.
 
-    A leaf whose code ties the best one yields an automorphism of g that
-    maps the best leaf's order onto the tie's, position by position, with
-    the color map its edges induce. It is kept only if it joins two vertex
-    orbits of those kept so far, so at most n - 1 are kept, and together
-    they have g's automorphism orbits on the non-isolated vertices (the
-    walk fixes the isolated ones). Returns (code, order, generators).
+    The generators are automorphisms of g, each with the color map its
+    edges induce. The first are the adjacent transpositions of the
+    isolated vertices, which the walk never moves. Then a leaf whose code
+    ties the best one maps the best leaf's order onto the tie's, position
+    by position; it is kept only if it joins two vertex orbits of those
+    kept so far. So at most n - 1 are kept, and together they have g's
+    automorphism orbits. Returns (code, order, generators).
     """
     n = g.n
     if n == 0:
@@ -240,9 +242,14 @@ def _canonical_code(g: EdgeColoredGraph):
     best_order: tuple[int, ...] = ()
     gens: list[tuple[int, ...]] = []
     orbit = list(range(n))  # union-find over the kept generators' orbits
-    # orbits never get coarser than the cells, and the walk fixes the
-    # isolated vertices, so no tie can join orbits once there are `floor`
-    orbits, floor = n, len(cells) + max(len(iso) - 1, 0)
+    for x, y in zip(iso, iso[1:]):
+        swap = list(range(n))
+        swap[x], swap[y] = y, x
+        gens.append(tuple(swap))
+        orbit[y] = iso[0]
+    # orbits never get coarser than the cells, so no tie can join two once
+    # there are as many orbits as cells
+    orbits, floor = n - len(gens), len(cells)
 
     stack: list = [(iso, (0,) * (len(iso) * (len(iso) - 1) // 2), {})]
     while stack:
@@ -296,7 +303,8 @@ def _canonical_code(g: EdgeColoredGraph):
 
 
 def _canon_walk(g: EdgeColoredGraph):
-    """The canonical walk's (code, order, generators), cached on g."""
+    """The canonical walk's (code, order, generators), cached on g; on a
+    graph from canonical_form, the record it was given."""
     walk = g._cache.get("walk")
     if walk is None:
         if not is_properly_colored(g):
@@ -310,16 +318,12 @@ def canonical_key(g: EdgeColoredGraph):
     """Opaque isomorphism-class key (vertex bijection + color bijection).
 
     Equal keys mean a vertex bijection plus a color bijection maps one
-    graph onto the other. The key is (n, k, flat canonical code) and
-    is cached on the graph; no graph is built for it, so rejecting a
+    graph onto the other. The key is (n, k, flat canonical code), read
+    from the graph's walk record; no graph is built for it, so rejecting a
     duplicate costs only the canonical walk. Requires a properly colored
     input.
     """
-    key = g._cache.get("key")
-    if key is None:
-        key = (g.n, g.num_colors, _canon_walk(g)[0])
-        g._cache["key"] = key
-    return key
+    return (g.n, g.num_colors, _canon_walk(g)[0])
 
 
 def canonical_form(g: EdgeColoredGraph):
@@ -328,19 +332,24 @@ def canonical_form(g: EdgeColoredGraph):
     The key is canonical_key(g). The relabeled graph is the canonical
     representative itself, identical bytes for every member of an
     isomorphism class; it is built from the code held in the key, only
-    when asked for, and then cached. g's walk is left on it, so that
-    automorphism_generators conjugates g's generators to its labels
-    instead of walking again.
+    when asked for, and then cached with its own walk record, so it is
+    never walked: the same code, the identity order, and each generator a
+    conjugated as i -> at[a[order[i]]], where at is order's inverse.
     """
     cached = g._cache.get("canon")
     if cached is None:
+        code, order, gens = _canon_walk(g)
         key = canonical_key(g)
         # cell j of row i sits at flat index i*(i-1)/2 + j
         pairs = [(j, i) for i in range(g.n) for j in range(i)]
-        edges = [(j, i, cell - 1) for (j, i), cell in zip(pairs, key[2])
-                 if cell]
+        edges = [(j, i, cell - 1) for (j, i), cell in zip(pairs, code) if cell]
         rep = build(g.n, edges)
-        rep._cache["source_walk"] = _canon_walk(g)
+        at = [0] * g.n
+        for pos, v in enumerate(order):
+            at[v] = pos
+        rep._cache["walk"] = (code, tuple(range(g.n)),
+                              tuple(tuple([at[a[v]] for v in order])
+                                    for a in gens))
         cached = (key, rep)
         g._cache["canon"] = cached
     return cached
@@ -349,31 +358,7 @@ def canonical_form(g: EdgeColoredGraph):
 def automorphism_generators(g: EdgeColoredGraph) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations generating a group of automorphisms of g (each
     with the color bijection its edge images induce) whose vertex orbits
-    are those of g's full automorphism group, cached on g.
-
-    They are the canonical walk's tie automorphisms plus the adjacent
-    transpositions of the isolated vertices, which the walk never moves.
-    On a graph from canonical_form the walk is the source graph's, each
-    generator a conjugated to canonical labels as i -> at[a[order[i]]],
-    where order is the best ordering and at its inverse.
+    are those of g's full automorphism group: the generators of g's
+    canonical walk record (see _canonical_code).
     """
-    gens = g._cache.get("gens")
-    if gens is None:
-        source = g._cache.get("source_walk")
-        if source is None:
-            ties = _canon_walk(g)[2]
-        else:
-            _, order, src = source
-            at = [0] * g.n
-            for pos, v in enumerate(order):
-                at[v] = pos
-            ties = tuple(tuple([at[a[v]] for v in order]) for a in src)
-        iso = [v for v in range(g.n) if not g.neighbor_colors[v]]
-        swaps = []
-        for x, y in zip(iso, iso[1:]):
-            perm = list(range(g.n))
-            perm[x], perm[y] = y, x
-            swaps.append(tuple(perm))
-        gens = ties + tuple(swaps)
-        g._cache["gens"] = gens
-    return gens
+    return _canon_walk(g)[2]

@@ -111,11 +111,10 @@ def graph_to_dict(g: EdgeColoredGraph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
-def result_to_dict(res: ExtremalResult, include_timing: bool = False) -> dict:
-    """ExtremalResult as a plain document. Timing is excluded by default
-    so output bytes are reproducible across worker counts."""
-    stats = {k: v for k, v in res.stats.items()
-             if include_timing or k != "wall_time_s"}
+def result_to_dict(res: ExtremalResult) -> dict:
+    """ExtremalResult as a plain document. Timing is left out, so output
+    bytes are reproducible across worker counts."""
+    stats = {k: v for k, v in res.stats.items() if k != "wall_time_s"}
     doc = {
         "value": res.value,
         "exhaustive": res.exhaustive,

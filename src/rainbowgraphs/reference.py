@@ -114,20 +114,15 @@ def matching_partitions(n: int, edges):
     yield from rec(0)
 
 
-def naive_search(n: int, ell: int, objective: str):
-    """Reference optimum over all labeled graphs on n vertices and all
-    matchings-partitions of their edges, restricted to colorings with no
-    rainbow path of length ell.
-
-    Returns (value, per_color_count): the optimum and a dict mapping the
-    number of color classes used to the best objective value seen with
-    exactly that many classes. No pruning beyond the matching property.
+def naive_colorings(n: int, ell: int, objective: str):
+    """Yield (value, edges) for every labeled graph on n vertices and
+    every matchings-partition of its edges with no rainbow path of length
+    ell: edges are (u, v, c) triples, colors in first-use order, and value
+    is the objective's. No pruning beyond the matching property.
     """
     if objective not in ("max_edges", "max_rainbow_cycles"):
         raise ValueError(f"unknown objective {objective!r}")
     pairs = list(combinations(range(n), 2))
-    best = 0
-    per_k: dict[int, int] = {}
     for subset in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if subset >> i & 1]
         for colors in matching_partitions(n, edges):
@@ -141,7 +136,20 @@ def naive_search(n: int, ell: int, objective: str):
                 value = len(edges)
             else:
                 value = _count_rainbow_cycles_brute(n, nbr, ell)
-            k = max(colors) + 1 if colors else 0
-            best = max(best, value)
-            per_k[k] = max(per_k.get(k, 0), value)
+            yield value, [(u, v, c) for (u, v), c in zip(edges, colors)]
+
+
+def naive_search(n: int, ell: int, objective: str):
+    """Reference optimum over naive_colorings(n, ell, objective).
+
+    Returns (value, per_color_count): the optimum and a dict mapping the
+    number of color classes used to the best objective value seen with
+    exactly that many classes.
+    """
+    best = 0
+    per_k: dict[int, int] = {}
+    for value, edges in naive_colorings(n, ell, objective):
+        k = len({c for _, _, c in edges})
+        best = max(best, value)
+        per_k[k] = max(per_k.get(k, 0), value)
     return best, per_k

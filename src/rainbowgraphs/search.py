@@ -12,7 +12,7 @@ The cheap tests run on the parent, and only what survives is built
 (McKay, "Isomorph-free exhaustive generation", 1998). Candidate edges
 (u, v, c) that an automorphism of the parent maps onto each other give
 isomorphic children, so only one candidate per orbit is tried; the
-generators are the ones the parent's canonical walk found
+generators are read from the parent's canonical walk record
 (colored_graph.automorphism_generators). A parent is rainbow-P_ell-free,
 so a candidate makes an infeasible child exactly when a rainbow P_ell
 runs through it; rainbow.has_rainbow_path_through decides that on the
@@ -57,9 +57,7 @@ class SearchProblem:
 
     The constraint is always rainbow-P_ell-freeness. `colors` restricts
     the optimum to colorings using exactly that many classes (None: no
-    restriction). `prune_iso` (isomorph rejection and orbit pruning) and
-    `prune_bound` exist so tests can verify that pruning never changes
-    the value.
+    restriction).
     """
 
     n: int
@@ -70,8 +68,6 @@ class SearchProblem:
     node_budget: int = 10 ** 9
     time_budget: float | None = None
     threads: int = 1
-    prune_iso: bool = True
-    prune_bound: bool = True
 
     def __post_init__(self):
         if not (2 <= self.n <= 10):
@@ -139,7 +135,7 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
     k = g.num_colors
     max_new = p.colors if p.colors is not None else p.n * p.n
     maps = []
-    for a in automorphism_generators(g) if p.prune_iso else ():
+    for a in automorphism_generators(g):
         cmap = [k] * (k + 1)
         for u, v, c in g.edges:
             cmap[c] = nbr[a[u]][a[v]]
@@ -211,12 +207,11 @@ def _run(p: SearchProblem):
 
         # Phase 2: extend, with the remaining-capacity cut (strict, so
         # optimum ties survive for the all-optima listing). Keys are
-        # distinct when pruning, so sorting the children compares no graphs.
+        # distinct, so sorting the children compares no graphs.
         children: list = []
         seen: set = set()
         for (_, g), val in zip(level, values):
-            if p.prune_bound and best is not None \
-                    and p.objective == "max_rainbow_cycles" \
+            if best is not None and p.objective == "max_rainbow_cycles" \
                     and val + (total_pairs - g.m) * cap < best:
                 stats["pruned_bound"] += 1
                 continue
@@ -228,21 +223,19 @@ def _run(p: SearchProblem):
                 if child is None:
                     stats["pruned_infeasible"] += 1
                     continue
-                if p.prune_iso:
-                    # key first: the canonical graph is built only for a
-                    # new class
-                    key = canonical_key(child)
-                    if key in seen:
-                        stats["pruned_duplicate"] += 1
-                        continue
-                    seen.add(key)
+                # key first: the canonical graph is built only for a new class
+                key = canonical_key(child)
+                if key in seen:
+                    stats["pruned_duplicate"] += 1
+                    continue
+                seen.add(key)
                 children.append(canonical_form(child))
             if truncated is None and p.time_budget is not None \
                     and time.perf_counter() - t0 > p.time_budget:
                 truncated = "time"
             if truncated is not None:
                 break
-        level = sorted(children) if p.prune_iso else children
+        level = sorted(children)
 
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated

@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 
+from rainbowgraphs import colored_graph
 from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
                                          automorphism_generators, build,
                                          canonical_form, canonical_key,
@@ -288,7 +289,8 @@ def test_canonical_form_returns_isomorphic_graph_with_same_key():
     for _ in range(40):
         g = random_proper_graph(rng, n=rng.randint(2, 5))
         key, rep = canonical_form(g)
-        assert canonical_key(rep) == key
+        # a fresh copy, so the key comes from a walk, not rep's record
+        assert canonical_key(build(rep.n, rep.edges)) == key
         assert _brute_isomorphic(g, rep)
 
 
@@ -366,9 +368,27 @@ def test_canonical_form_idempotent():
     for _ in range(30):
         g = random_proper_graph(rng)
         key, rep = canonical_form(g)
-        key2, rep2 = canonical_form(rep)
+        key2, rep2 = canonical_form(build(rep.n, rep.edges))
         assert key == key2
         assert rep.edges == rep2.edges
+
+
+def test_canonical_form_walks_a_class_once(monkeypatch):
+    # the canonical graph carries its record from the source's walk, so
+    # its key and generators cost no second walk
+    walks = []
+    real = colored_graph._canonical_code
+
+    def counted(g):
+        walks.append(g)
+        return real(g)
+
+    monkeypatch.setattr(colored_graph, "_canonical_code", counted)
+    g = build(6, [(0, 1, 0), (1, 2, 1), (3, 4, 0), (4, 5, 1)])
+    key, rep = canonical_form(g)
+    assert canonical_key(rep) == key
+    assert automorphism_generators(rep)
+    assert walks == [g]
 
 
 def test_canonical_key_distinguishes_color_structure_not_labels():

@@ -248,6 +248,19 @@ def test_cli_check_usage_errors(tmp_path, capsys):
     assert code == 2 and "--ell" in err
 
 
+def test_cli_check_random_rejects_bad_count_and_max_n(monkeypatch, capsys):
+    # rejected before any graph is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+    monkeypatch.setattr("rainbowgraphs.cli.random_proper_graph", refuse)
+    for argv, word in ((("--random", "-1"), "COUNT"),
+                       (("--random", "0"), "COUNT"),
+                       (("--random", "2", "--max-n", "2"), "--max-n"),
+                       (("--random", "2", "--max-n", "1001"), "--max-n")):
+        code, out, err = _run(capsys, "check", *argv, "--ell", "3")
+        assert code == 2 and word in err and out == ""
+
+
 def test_cli_search_text_output(capsys):
     code, out, err = _run(capsys, "search", "--n", "4", "--ell", "3",
                           "--objective", "edges")

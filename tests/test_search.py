@@ -1,4 +1,5 @@
-"""Exhaustive extremal search: frozen small-n values, pruning safety,
+"""Exhaustive extremal search: frozen small-n values, the full optima
+list against every optimal labeled coloring of the brute-force reference,
 orbit pruning against unpruned extension, budget truncation, thread
 determinism, and that no worker thread runs.
 
@@ -22,7 +23,7 @@ from rainbowgraphs.constructions import d_star, lower_bound_graph
 from rainbowgraphs.corpus import rainbow_free_instances, random_proper_graph
 from rainbowgraphs.graph_io import result_to_dict
 from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
-from rainbowgraphs.reference import naive_search
+from rainbowgraphs.reference import naive_colorings, naive_search
 from rainbowgraphs.search import (ColorProbeTable, ExtremalResult,
                                   SearchProblem, _extend_one,
                                   probe_color_count, solve,
@@ -136,17 +137,23 @@ def test_both_4_3_optima_are_unique_and_3_regular():
         assert verify_extremal_regularity(res, 3)
 
 
-def test_pruning_never_changes_value_or_optima_count():
-    for n, ell, objective in ((4, 3, "max_edges"),
-                              (4, 3, "max_rainbow_cycles"),
-                              (4, 4, "max_rainbow_cycles")):
-        full = solve(SearchProblem(n, ell, objective, all_optima=True))
-        bare = solve(SearchProblem(n, ell, objective, all_optima=True,
-                                   prune_iso=False, prune_bound=False))
-        assert bare.value == full.value
-        assert bare.stats["nodes"] >= full.stats["nodes"]
-        # optima are deduplicated by canonical key even without pruning
-        assert {g.edges for g in bare.optima} == {g.edges for g in full.optima}
+@pytest.mark.parametrize("n, ell, objective", [
+    (4, 3, "max_edges"), (4, 3, "max_rainbow_cycles"),
+    (4, 4, "max_rainbow_cycles"), (5, 4, "max_edges")])
+def test_all_optima_match_every_optimal_labeled_coloring(n, ell, objective):
+    # the optima list holds one graph per class of every optimal labeled
+    # coloring the unpruned reference enumerates, and no other class
+    best, optimal = -1, []
+    for value, edges in naive_colorings(n, ell, objective):
+        if value > best:
+            best, optimal = value, []
+        if value == best:
+            optimal.append(edges)
+    res = solve(SearchProblem(n, ell, objective, all_optima=True))
+    assert res.exhaustive and res.value == best
+    keys = [canonical_key(build(n, g.edges)) for g in res.optima]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {canonical_key(build(n, e)) for e in optimal}
 
 
 def test_thread_count_yields_identical_serialized_results():
