@@ -58,22 +58,17 @@ class EdgeColoredGraph:
 
     @property
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex sorted list of (neighbor, color), built lazily; the
-        table the rainbow walks read."""
+        """Per-vertex (neighbor, color) lists of `neighbor_colors`, so in
+        ascending neighbor order; the table the rainbow walks read."""
         if self._adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for u, v, c in self.edges:
-                adj[u].append((v, c))
-                adj[v].append((u, c))
-            for row in adj:
-                row.sort()
-            self._adj = adj
+            self._adj = [list(row.items()) for row in self.neighbor_colors]
         return self._adj
 
     @property
     def neighbor_colors(self) -> list[dict[int, int]]:
-        """Per-vertex dict neighbor -> color, built lazily; the table of
-        degree, properness, canonical form and edge lookups."""
+        """Per-vertex dict neighbor -> color, built lazily; the only table
+        built from `edges`, whose (u, v) order keeps each row ascending.
+        Degree, properness, canonical form and edge lookups read it."""
         if self._nbr is None:
             nbr: list[dict[int, int]] = [{} for _ in range(self.n)]
             for u, v, c in self.edges:

@@ -4,8 +4,10 @@ A rainbow subgraph has pairwise distinct edge colors. P_ell denotes the
 path with ell edges (ell+1 vertices), C_ell the cycle with ell edges.
 All searches run on one DFS kernel, `_walk`, which extends a simple path
 edge by edge under a color bitmask and hands each full-length walk to a
-leaf callback. It works on any colored graph, proper or not; properness
-is only a hypothesis of the checker module.
+leaf callback. A vertex put at the front of the path is never visited,
+which keeps the far end of a fixed-endpoint path off the walk. It works
+on any colored graph, proper or not; properness is only a hypothesis of
+the checker module.
 
 Witnesses are canonicalized so each subgraph copy appears exactly once:
 paths are stored with the lexicographically smaller endpoint first, cycles
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 from .colored_graph import EdgeColoredGraph
 
-#: Hard limit on the length parameter: the color bitmask of a rainbow
-#: subgraph must fit a machine word.
+#: Ceiling on ell: it bounds `_walk`'s recursion depth, one frame per
+#: edge (Python ints do not overflow, and color masks index colors).
 MAX_LEN = 62
 
 
@@ -116,7 +118,8 @@ def _walk(adj, path: list, cols: list, cmask: int, k: int, leaf) -> bool:
     """Extend the simple path `path` (edge colors `cols`, used colors the
     bits of `cmask`) by exactly k edges of `adj` with new vertices and
     unused colors, calling leaf(path, cols, cmask) on each full-length walk.
-    A truthy leaf stops the walk at once, with `path` and `cols` unrestored."""
+    A vertex put at the front of `path` is never visited. A truthy leaf
+    stops the walk at once, with `path` and `cols` unrestored."""
     if not k:
         return leaf(path, cols, cmask)
     for u, c in adj[path[-1]]:
@@ -131,44 +134,42 @@ def _walk(adj, path: list, cols: list, cmask: int, k: int, leaf) -> bool:
     return False
 
 
-def _paths_from_root(g: EdgeColoredGraph, s: int, ell: int) -> list:
-    found = []
-
-    def leaf(path, cols, cmask):
-        if path[-1] > s:
-            found.append((tuple(path), tuple(cols)))
-
-    _walk(g.adjacency, [s], [], 0, ell, leaf)
-    return found
-
-
-def _cycles_from_root(g: EdgeColoredGraph, r: int, ell: int) -> list:
-    # r is the cycle's minimal vertex: walk ell-1 edges above r, then
-    # close back to r with an unused color
-    above = [[(u, c) for u, c in row if u > r] for row in g.adjacency]
-    back = g.neighbor_colors[r]
-    found = []
-
-    def leaf(path, cols, cmask):
-        if path[1] < path[-1]:
-            c = back.get(path[-1])
-            if c is not None and not cmask >> c & 1:
-                found.append((tuple(path), (*cols, c)))
-
-    _walk(above, [r], [], 0, ell - 1, leaf)
-    return found
-
-
-def _over_roots(worker, g: EdgeColoredGraph, ell: int) -> list:
-    return sorted(w for s in range(g.n) for w in worker(g, s, ell))
-
-
 def enumerate_rainbow_paths(g: EdgeColoredGraph, ell: int,
                             threads: int = 1) -> list[RainbowWitness]:
     """All rainbow paths with exactly ell edges, one witness per copy."""
     _check_args(ell, 1, threads)
-    raw = _over_roots(_paths_from_root, g, ell)
-    return [RainbowWitness("path", vs, cs) for vs, cs in raw]
+    found = []
+
+    def leaf(path, cols, cmask):
+        if path[-1] > path[0]:
+            found.append((tuple(path), tuple(cols)))
+
+    for s in range(g.n):
+        _walk(g.adjacency, [s], [], 0, ell, leaf)
+    found.sort()
+    return [RainbowWitness("path", vs, cs) for vs, cs in found]
+
+
+def _cycles(g: EdgeColoredGraph, ell: int) -> list:
+    # roots r in decreasing order, each the minimal vertex of its cycles:
+    # walk ell-1 edges on `above`, which then holds only the neighbors
+    # above r, and close back to r with an unused color
+    nbr = g.neighbor_colors
+    above: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    found = []
+
+    def leaf(path, cols, cmask):
+        if path[1] < path[-1]:
+            c = nbr[path[0]].get(path[-1])
+            if c is not None and not cmask >> c & 1:
+                found.append((tuple(path), (*cols, c)))
+
+    for r in reversed(range(g.n)):
+        _walk(above, [r], [], 0, ell - 1, leaf)
+        for u, c in nbr[r].items():
+            above[u].append((r, c))
+    found.sort()
+    return found
 
 
 def enumerate_rainbow_cycles(g: EdgeColoredGraph, ell: int,
@@ -181,7 +182,7 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph, ell: int,
     _check_args(ell, 3, threads)
     key = ("cycles", ell)
     if key not in g._cache:
-        g._cache[key] = _over_roots(_cycles_from_root, g, ell)
+        g._cache[key] = _cycles(g, ell)
     return [RainbowWitness("cycle", vs, cs) for vs, cs in g._cache[key]]
 
 
@@ -240,20 +241,19 @@ def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
         raise ValueError("endpoint out of range")
     if x == y:
         raise ValueError("endpoints must differ")
-    # y may only be the final vertex: walk ell-1 edges avoiding y, then
-    # close to y with an unused color; forbidden colors start out used
+    # walk ell-1 edges from [y, x], so y stays off the walk, then close
+    # to y with an unused color; forbidden colors start out used
     banned = frozenset(forbidden)
     cmask = sum(1 << c for c in range(g.num_colors) if c in banned)
-    avoid_y = [[(u, c) for u, c in row if u != y] for row in g.adjacency]
     back = g.neighbor_colors[y]
     found = []
 
     def leaf(path, cols, cmask):
         c = back.get(path[-1])
         if c is not None and not cmask >> c & 1:
-            found.append(canonical_path((*path, y), (*cols, c)))
+            found.append(canonical_path((*path[1:], y), (*cols, c)))
 
-    _walk(avoid_y, [x], [], cmask, ell - 1, leaf)
+    _walk(g.adjacency, [y, x], [], cmask, ell - 1, leaf)
     found.sort()
     return [RainbowWitness("path", vs, cs) for vs, cs in found]
 

@@ -27,9 +27,7 @@ drops a representative when its cycle count plus (addable edges) x
 (per-edge capacity (2*ell-3)^(ell-2)) cannot beat the incumbent; the cut
 is strict, so optimum ties are never lost and the stored optima set is
 complete. max_edges needs no cut: its incumbent is an evaluated edge
-count, which no room of at most n(n-1)/2 edges can fall below. Per-edge
-degree caps are heuristics for cycle counting only, never a correctness
-assumption here.
+count, which no room of at most n(n-1)/2 edges can fall below.
 
 Everything runs in the caller's thread in a fixed order (`threads` is
 validated but idle), so value, witness bytes, node counts and budget
@@ -45,7 +43,7 @@ from itertools import combinations
 from .colored_graph import (EdgeColoredGraph, automorphism_generators,
                             build, canonical_form, canonical_key, degree,
                             is_properly_colored)
-from .rainbow import (enumerate_rainbow_cycles, has_rainbow_path,
+from .rainbow import (MAX_LEN, enumerate_rainbow_cycles, has_rainbow_path,
                       has_rainbow_path_through)
 
 _OBJECTIVES = ("max_edges", "max_rainbow_cycles")
@@ -75,8 +73,8 @@ class SearchProblem:
         if self.objective not in _OBJECTIVES:
             raise ValueError(f"objective must be one of {_OBJECTIVES}")
         low = 3 if self.objective == "max_rainbow_cycles" else 1
-        if not (low <= self.ell <= 62):
-            raise ValueError(f"ell must be in {low}..62, got {self.ell}")
+        if not (low <= self.ell <= MAX_LEN):
+            raise ValueError(f"ell must be in {low}..{MAX_LEN}, got {self.ell}")
         if self.colors is not None and self.colors < 1:
             raise ValueError("colors must be >= 1")
         if self.node_budget < 1:
@@ -270,7 +268,8 @@ def solve(p: SearchProblem) -> ExtremalResult:
 
 
 def _verify_witness_graph(g: EdgeColoredGraph, p: SearchProblem, value: int):
-    # independent re-check of the returned certificate
+    # independent re-check on a fresh copy, so nothing cached on g is read
+    g = build(g.n, g.edges)
     if not is_properly_colored(g):
         raise RuntimeError("search witness is not properly colored")
     if has_rainbow_path(g, p.ell):

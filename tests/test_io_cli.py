@@ -330,6 +330,16 @@ GOLDEN_CLI = [
      "c865949fc2ff412b75f7ded120753c3e826f656ae727844b6016126d3e8f00aa"),
     (("count", "--input", "{d4}", "--paths", "3", "--witnesses"), 0,
      "d8bb52c8c3d76acf8a70423fc714967549dc2d3103343045daba0196068a1e07"),
+    (("search", "--n", "5", "--ell", "4", "--objective", "cycles",
+      "--all-optima", "--json"), 0,
+     "e61e45461385bc7922fc10193d4b9af0be9da15e95e954aaa39c22141af72c01"),
+    (("search", "--n", "6", "--ell", "4", "--objective", "edges"), 0,
+     "258d2e697b91a5c2eeca5fde3827ccdd412020d4fda35f9d454c78615997296d"),
+    (("search", "--n", "5", "--ell", "4", "--objective", "cycles",
+      "--node-budget", "20"), 0,
+     "d269ccc89b5e4f7ac089684166dfcd596052e3824c2bb716296896cfde07e1e3"),
+    (("search", "--n", "4", "--ell", "3", "--probe-colors"), 0,
+     "c4ac3f988fa46c72db7056f0833b75b1bdfaca6a708546e33ef0332a6bec9de8"),
 ]
 
 

@@ -5,13 +5,15 @@ independently with the permutation-filter enumerator in
 rainbowgraphs.reference before being frozen here.
 """
 
+import hashlib
+import time
 from itertools import combinations, permutations
 from random import Random
 
 import pytest
 
 from rainbowgraphs.colored_graph import build
-from rainbowgraphs.constructions import d_star
+from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import (rainbow_free_instances, random_colored_graph,
                                   random_proper_graph)
 from rainbowgraphs.rainbow import (RainbowWitness, count_per_edge,
@@ -337,6 +339,72 @@ def test_verify_witness_rejects_tampered_certificates():
     off_graph = RainbowWitness(w.kind, tuple(v + 4 for v in w.vertices),
                                w.colors)
     assert not verify_witness(g, off_graph)
+
+
+# --------------------------------------------------------------- tables
+
+# Digest of every rainbow query below on _table_graphs(), frozen from the
+# per-root filtered tables that the single grown tables replaced.
+TABLE_DIGEST = "5f5aca553ca7542742dd5c7ab1c4cfea1335ce03e09615690ef385230b4618b1"
+
+
+def _table_graphs():
+    rng = Random(1010)
+    gs = [random_proper_graph(rng, dense=i % 3 == 0) for i in range(12)]
+    gs += [random_colored_graph(rng, max_n=7) for _ in range(12)]
+    # isolated vertices at the end and between the others
+    gs += [build(g.n + 2, g.edges) for g in gs[::4]]
+    gs += [build(2 * g.n, [(2 * u, 2 * v, c) for u, v, c in g.edges])
+           for g in gs[1::4]]
+    gs += [d_star(3), d_star(4), d_star(5), hypercube(4),
+           lower_bound_graph(11, 3)]
+    return gs
+
+
+def _table_results(g):
+    for ell in range(3, 7):
+        yield "C", ell, [(w.vertices, w.colors)
+                         for w in enumerate_rainbow_cycles(g, ell)]
+    for ell in range(1, 6):
+        yield "P", ell, [(w.vertices, w.colors)
+                         for w in enumerate_rainbow_paths(g, ell)]
+        yield "has", ell, has_rainbow_path(g, ell)
+    banned = frozenset({g.num_colors // 2})
+    for ell in range(1, 5):
+        for x in range(g.n):
+            for y in range(g.n):
+                if x != y:
+                    for f in (frozenset(), banned):
+                        yield "xy", (x, y, ell, sorted(f)), [
+                            (w.vertices, w.colors)
+                            for w in rainbow_paths_between(g, x, y, ell, f)]
+
+
+def test_rainbow_query_bytes_are_frozen():
+    h = hashlib.sha256()
+    for g in _table_graphs():
+        h.update(repr((g.n, g.edges)).encode())
+        for item in _table_results(g):
+            h.update(repr(item).encode())
+    assert h.hexdigest() == TABLE_DIGEST
+
+
+def test_adjacency_rows_are_the_sorted_edge_rows():
+    for g in _table_graphs():
+        rows = [[] for _ in range(g.n)]
+        for u, v, c in g.edges:
+            rows[u].append((v, c))
+            rows[v].append((u, c))
+        assert g.adjacency == [sorted(row) for row in rows]
+
+
+def test_large_cube_cycle_enumeration_is_not_quadratic():
+    # one grown table, not a filtered copy of all 4096 rows per root:
+    # about 1 s on a 2-CPU host, about 40 s with the per-root copies
+    g = hypercube(12)
+    start = time.perf_counter()
+    assert enumerate_rainbow_cycles(g, 4) == []
+    assert time.perf_counter() - start < 10
 
 
 # --------------------------------------------------------------- errors

@@ -26,8 +26,8 @@ from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
 from rainbowgraphs.reference import naive_colorings, naive_search
 from rainbowgraphs.search import (ColorProbeTable, ExtremalResult,
                                   SearchProblem, _extend_one,
-                                  probe_color_count, solve,
-                                  verify_extremal_regularity)
+                                  _verify_witness_graph, probe_color_count,
+                                  solve, verify_extremal_regularity)
 
 FROZEN = {
     (2, 3, "max_edges"): 1,
@@ -274,7 +274,7 @@ def test_search_problem_validation():
         SearchProblem(4, 2, "max_rainbow_cycles")
     with pytest.raises(ValueError):
         SearchProblem(4, 0, "max_edges")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ell must be in 1\.\.62, got 63$"):
         SearchProblem(4, 63, "max_edges")
     with pytest.raises(ValueError):
         SearchProblem(4, 3, "most_edges")
@@ -287,6 +287,18 @@ def test_search_problem_validation():
     for budget in (float("nan"), -1):
         with pytest.raises(ValueError, match="time budget"):
             SearchProblem(4, 3, "max_edges", time_budget=budget)
+
+
+def test_witness_recheck_ignores_counts_cached_on_the_witness():
+    # the search caches the cycle list on its representatives; the
+    # re-check must count again instead of reading that cache back
+    p = SearchProblem(5, 4, "max_rainbow_cycles")
+    res = solve(p)
+    w = res.witness
+    _verify_witness_graph(w, p, res.value)
+    w._cache[("cycles", p.ell)] = w._cache[("cycles", p.ell)] * 2
+    with pytest.raises(RuntimeError, match="claimed value"):
+        _verify_witness_graph(w, p, 2 * res.value)
 
 
 def test_result_stats_present():
