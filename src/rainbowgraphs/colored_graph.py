@@ -11,10 +11,8 @@ combined with some color bijection maps one onto the other. The
 canonicalizer builds one flat code, walking vertex orderings within a
 refined partition on an explicit stack and following only the least rows
 at each position; it starts with the isolated vertices placed in order.
-Leaves that tie the minimal code and the isolated vertices'
-transpositions give generators whose orbits are the automorphism orbits,
-for the search's orbit pruning. The walk's (code, order, generators) is
-the one record a graph caches; the key and generators are read from it.
+That code is the one record of the walk a graph caches: the key is read
+from it, and the canonical graph is built from it.
 """
 
 from __future__ import annotations
@@ -196,9 +194,8 @@ def _refined_ranks(g: EdgeColoredGraph) -> list[int]:
         distinct = len(order)
 
 
-def _canonical_code(g: EdgeColoredGraph):
-    """Minimal flat edge-matrix code over all allowed vertex orderings,
-    with the ordering that first reached it and automorphism generators.
+def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
+    """Minimal flat edge-matrix code over all allowed vertex orderings.
 
     Row i, the i cells from index i*(i-1)/2 on, encodes the adjacency of
     the i-th placed vertex to the earlier ones: 0 for a non-edge, else
@@ -208,22 +205,15 @@ def _canonical_code(g: EdgeColoredGraph):
     order), which is isomorphism-invariant, so the minimum is a complete
     invariant. A depth-first walk over a stack of prefixes finds it,
     pushing only the next vertices with the least row (a smaller sibling
-    row beats every completion of a larger one). Isolated vertices, the
-    only ones that can share a neighbor -> color map in a proper
-    coloring, have the least refinement signature, so they fill the first
-    cell with all-zero rows; the walk starts with them placed in order.
-
-    The generators are automorphisms of g, each with the color map its
-    edges induce. The first are the adjacent transpositions of the
-    isolated vertices, which the walk never moves. Then a leaf whose code
-    ties the best one maps the best leaf's order onto the tie's, position
-    by position; it is kept only if it joins two vertex orbits of those
-    kept so far. So at most n - 1 are kept, and together they have g's
-    automorphism orbits. Returns (code, order, generators).
+    row beats every completion of a larger one); a leaf that only ties
+    the best code is skipped. Isolated vertices, the only ones that can
+    share a neighbor -> color map in a proper coloring, have the least
+    refinement signature, so they fill the first cell with all-zero rows;
+    the walk starts with them placed in order.
     """
     n = g.n
     if n == 0:
-        return (), (), ()
+        return ()
     rank = _refined_ranks(g)
     nbr = g.neighbor_colors
     cells: list[list[int]] = [[] for _ in range(max(rank) + 1)]
@@ -234,46 +224,16 @@ def _canonical_code(g: EdgeColoredGraph):
     iso = tuple(v for v in range(n) if not nbr[v])
 
     best: tuple[int, ...] | None = None
-    best_order: tuple[int, ...] = ()
-    gens: list[tuple[int, ...]] = []
-    orbit = list(range(n))  # union-find over the kept generators' orbits
-    for x, y in zip(iso, iso[1:]):
-        swap = list(range(n))
-        swap[x], swap[y] = y, x
-        gens.append(tuple(swap))
-        orbit[y] = iso[0]
-    # orbits never get coarser than the cells, so no tie can join two once
-    # there are as many orbits as cells
-    orbits, floor = n - len(gens), len(cells)
-
     stack: list = [(iso, (0,) * (len(iso) * (len(iso) - 1) // 2), {})]
     while stack:
         order, code, slot = stack.pop()
+        # a proper prefix of best compares less, so this drops a prefix
+        # beyond best[:len(code)] and a leaf that ties best
+        if best is not None and code >= best:
+            continue
         i = len(order)
-        if i == n and code == best:
-            if orbits == floor:
-                continue
-            # the automorphism maps best_order[j] to order[j]
-            joined = orbits
-            for x, y in zip(best_order, order):
-                while orbit[x] != x:
-                    orbit[x] = x = orbit[orbit[x]]
-                while orbit[y] != y:
-                    orbit[y] = y = orbit[orbit[y]]
-                if x != y:
-                    orbit[x] = y
-                    orbits -= 1
-            if orbits < joined:
-                auto = [0] * n
-                for x, y in zip(best_order, order):
-                    auto[x] = y
-                gens.append(tuple(auto))
-            continue
-        # same as code > best[:len(code)]: a prefix of best compares less
-        if best is not None and code > best:
-            continue
         if i == n:
-            best, best_order = code, order
+            best = code
             continue
         placed = set(order)
         children = []
@@ -294,12 +254,12 @@ def _canonical_code(g: EdgeColoredGraph):
             if row == least:
                 stack.append((order + (v,), least_code, vslot))
     assert best is not None
-    return best, best_order, tuple(gens)
+    return best
 
 
-def _canon_walk(g: EdgeColoredGraph):
-    """The canonical walk's (code, order, generators), cached on g; on a
-    graph from canonical_form, the record it was given."""
+def _canon_walk(g: EdgeColoredGraph) -> tuple[int, ...]:
+    """The canonical walk's code, cached on g; on a graph from
+    canonical_form, the code it was given."""
     walk = g._cache.get("walk")
     if walk is None:
         if not is_properly_colored(g):
@@ -318,7 +278,7 @@ def canonical_key(g: EdgeColoredGraph):
     duplicate costs only the canonical walk. Requires a properly colored
     input.
     """
-    return (g.n, g.num_colors, _canon_walk(g)[0])
+    return (g.n, g.num_colors, _canon_walk(g))
 
 
 def canonical_form(g: EdgeColoredGraph):
@@ -327,33 +287,18 @@ def canonical_form(g: EdgeColoredGraph):
     The key is canonical_key(g). The relabeled graph is the canonical
     representative itself, identical bytes for every member of an
     isomorphism class; it is built from the code held in the key, only
-    when asked for, and then cached with its own walk record, so it is
-    never walked: the same code, the identity order, and each generator a
-    conjugated as i -> at[a[order[i]]], where at is order's inverse.
+    when asked for, and then cached with that code as its walk record, so
+    it is never walked.
     """
     cached = g._cache.get("canon")
     if cached is None:
-        code, order, gens = _canon_walk(g)
         key = canonical_key(g)
+        code = key[2]
         # cell j of row i sits at flat index i*(i-1)/2 + j
         pairs = [(j, i) for i in range(g.n) for j in range(i)]
         edges = [(j, i, cell - 1) for (j, i), cell in zip(pairs, code) if cell]
         rep = build(g.n, edges)
-        at = [0] * g.n
-        for pos, v in enumerate(order):
-            at[v] = pos
-        rep._cache["walk"] = (code, tuple(range(g.n)),
-                              tuple(tuple([at[a[v]] for v in order])
-                                    for a in gens))
+        rep._cache["walk"] = code
         cached = (key, rep)
         g._cache["canon"] = cached
     return cached
-
-
-def automorphism_generators(g: EdgeColoredGraph) -> tuple[tuple[int, ...], ...]:
-    """Vertex permutations generating a group of automorphisms of g (each
-    with the color bijection its edge images induce) whose vertex orbits
-    are those of g's full automorphism group: the generators of g's
-    canonical walk record (see _canonical_code).
-    """
-    return _canon_walk(g)[2]

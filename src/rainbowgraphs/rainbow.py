@@ -57,7 +57,8 @@ def _check_args(ell: int, low: int, threads: int = 1) -> None:
         raise ValueError(f"length parameter must be >= {low}, got {ell}")
     if ell > MAX_LEN:
         raise ValueError(
-            f"length parameter {ell} exceeds the bitmask limit {MAX_LEN}")
+            f"length parameter {ell} exceeds {MAX_LEN}, the limit on the "
+            "walk's recursion depth")
 
 
 def canonical_cycle(vertices, colors) -> tuple[tuple[int, ...], tuple[int, ...]]:

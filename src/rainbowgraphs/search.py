@@ -9,25 +9,27 @@ constraint (no rainbow path of length ell) is closed under edge deletion:
 every feasible graph with m+1 edges extends a feasible graph with m edges.
 
 The cheap tests run on the parent, and only what survives is built
-(McKay, "Isomorph-free exhaustive generation", 1998). Candidate edges
-(u, v, c) that an automorphism of the parent maps onto each other give
-isomorphic children, so only one candidate per orbit is tried; the
-generators are read from the parent's canonical walk record
-(colored_graph.automorphism_generators). A parent is rainbow-P_ell-free,
-so a candidate makes an infeasible child exactly when a rainbow P_ell
-runs through it; rainbow.has_rainbow_path_through decides that on the
-parent's adjacency, and infeasible children are never built. A feasible
-child is deduplicated by its canonical key alone; the canonical graph is
-built only for a key not seen before at this level. Node counts count
-the candidates tried, one per orbit.
+(McKay, "Isomorph-free exhaustive generation", 1998). Deleting an edge
+of largest inv(x, y, d) = (min degree, max degree, size of class d) from
+a feasible graph with m+1 edges leaves a class of the level before, and
+inv is isomorphism-invariant. So every class is reached by a candidate
+edge (u, v, c) that has the largest inv in its child, and a candidate
+that does not is a duplicate; that test reads the parent's degrees and
+class sizes, and no child is built for it.
+A parent is rainbow-P_ell-free, so a candidate makes an infeasible child
+exactly when a rainbow P_ell runs through it;
+rainbow.has_rainbow_path_through decides that on the parent's adjacency,
+and infeasible children are never built. A feasible child is
+deduplicated by its canonical key alone; the canonical graph is built
+only for a key not seen before at this level. Node counts count every
+candidate tried.
 
 Objectives: max_edges and max_rainbow_cycles, both under the rainbow-path
-freeness constraint. For max_rainbow_cycles a remaining-capacity cut
-drops a representative when its cycle count plus (addable edges) x
-(per-edge capacity (2*ell-3)^(ell-2)) cannot beat the incumbent; the cut
-is strict, so optimum ties are never lost and the stored optima set is
-complete. max_edges needs no cut: its incumbent is an evaluated edge
-count, which no room of at most n(n-1)/2 edges can fall below.
+freeness constraint. No bound cuts a representative: a cut by the
+paper's per-edge capacity (2*ell-3)^(ell-2) times the edges still
+addable can beat the incumbent only when at most a few edges are
+addable, which at these n spares no measurable work. `pruned_bound`
+stays in the statistics, always 0.
 
 Everything runs in the caller's thread in a fixed order (`threads` is
 validated but idle), so value, witness bytes, node counts and budget
@@ -40,9 +42,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .colored_graph import (EdgeColoredGraph, automorphism_generators,
-                            build, canonical_form, canonical_key, degree,
-                            is_properly_colored)
+from .colored_graph import (EdgeColoredGraph, build, canonical_form,
+                            canonical_key, degree, is_properly_colored)
 from .rainbow import (MAX_LEN, enumerate_rainbow_cycles, has_rainbow_path,
                       has_rainbow_path_through)
 
@@ -115,30 +116,34 @@ def _objective_value(g: EdgeColoredGraph, p: SearchProblem) -> int:
 
 
 def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
-    """Yield one event per orbit of one-edge extensions of a canonical
-    representative, in a fixed order: the child graph if it is feasible,
-    None if not.
+    """Yield one event per one-edge extension (u, v, c) of a canonical
+    representative, in a fixed order: the child graph if it is feasible
+    and its new edge has the largest inv, else the name of the counter
+    the candidate falls in, "pruned_duplicate" or "pruned_infeasible".
 
-    Candidate edges (u, v, c) in one orbit of g's automorphism generators
-    (vertex map plus the color map it induces on g's edges, a new color
-    mapped to itself) give isomorphic children, so only the first of each
-    orbit is tried (McKay 1998); the generators may span a subgroup of the
-    automorphism group, whose finer orbits are still sound. g is
-    rainbow-P_ell-free, so a child is infeasible exactly when a rainbow
-    P_ell runs through its new edge; that is decided on g's own adjacency,
-    and only feasible children are built. The new color is free at u and
-    at v, so every child is proper. Lazy, so a node budget stops the work
-    at the exact candidate that breaches it."""
+    inv(x, y, d) = (min degree, max degree, size of class d) in the
+    child. Adding (u, v, c) changes only the keys of edges at u, at v or
+    in class c, so g's edges are ranked by inv once, and a candidate
+    re-keys only those (McKay 1998). g is rainbow-P_ell-free, so a child
+    is infeasible exactly when a rainbow P_ell runs through its new edge;
+    that is decided on g's own adjacency, and only feasible children are
+    built. The new color is free at u and at v, so every child is proper.
+    Lazy, so a node budget stops the work at the exact candidate that
+    breaches it."""
     nbr = g.neighbor_colors
     k = g.num_colors
     max_new = p.colors if p.colors is not None else p.n * p.n
-    maps = []
-    for a in automorphism_generators(g):
-        cmap = [k] * (k + 1)
-        for u, v, c in g.edges:
-            cmap[c] = nbr[a[u]][a[v]]
-        maps.append((a, cmap))
-    covered: set = set()  # candidates in the orbit of one already tried
+    deg = [len(row) for row in nbr]
+    size = [0] * (k + 1)  # class k is the new color
+    for _, _, d in g.edges:
+        size[d] += 1
+    ranked = sorted((((min(deg[x], deg[y]), max(deg[x], deg[y]), size[d]),
+                      x, y, d) for x, y, d in g.edges), reverse=True)
+    # largest (min degree, max degree) per class: in the child, class c's
+    # edges all gain the same size as the new edge
+    top_pair = [(0, 0)] * (k + 1)
+    for key, _, _, d in ranked:
+        top_pair[d] = max(top_pair[d], key[:2])
     for u, v in combinations(range(g.n), 2):
         if v in nbr[u]:
             continue
@@ -146,20 +151,22 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
         allowed = [c for c in range(k) if c not in used]
         if k < max_new:
             allowed.append(k)
+        du, dv = deg[u] + 1, deg[v] + 1
+        pair = (min(du, dv), max(du, dv))
+        # largest child key at u and at v; these edges are in no allowed
+        # class, so their sizes stay
+        near = max([(min(dx, deg[w]), max(dx, deg[w]), size[d])
+                    for x, dx in ((u, du), (v, dv))
+                    for w, d in nbr[x].items()], default=())
         for c in allowed:
-            if maps:
-                if (u, v, c) in covered:
-                    continue
-                orbit = [(u, v, c)]
-                covered.add((u, v, c))
-                for x, y, d in orbit:  # grows to the whole orbit
-                    for a, cmap in maps:
-                        image = (min(a[x], a[y]), max(a[x], a[y]), cmap[d])
-                        if image not in covered:
-                            covered.add(image)
-                            orbit.append(image)
-            if has_rainbow_path_through(g, u, v, c, p.ell):
-                yield None
+            new = pair + (size[c] + 1,)
+            # largest key of the edges the candidate leaves unchanged
+            far = next((key for key, x, y, d in ranked if d != c
+                        and x != u and x != v and y != u and y != v), ())
+            if new < near or new < far or pair < top_pair[c]:
+                yield "pruned_duplicate"
+            elif has_rainbow_path_through(g, u, v, c, p.ell):
+                yield "pruned_infeasible"
             else:
                 child = build(g.n, g.edges + ((u, v, c),))
                 child._cache["proper"] = True
@@ -173,8 +180,6 @@ def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:
 def _run(p: SearchProblem):
     """Level BFS core shared by solve() and probe_color_count()."""
     t0 = time.perf_counter()
-    total_pairs = p.n * (p.n - 1) // 2
-    cap = (2 * p.ell - 3) ** (p.ell - 2)
     stats = {
         "nodes": 0, "levels": 0, "evaluated": 0,
         "pruned_infeasible": 0, "pruned_duplicate": 0, "pruned_bound": 0,
@@ -188,38 +193,28 @@ def _run(p: SearchProblem):
     level = [canonical_form(build(p.n, []))]
     while level and truncated is None:
         stats["levels"] += 1
-        # Phase 1: evaluate representatives (deterministic order).
-        values = [_objective_value(g, p) for _, g in level]
-        for (ck, g), val in zip(level, values):
-            if not _eligible(g, p):
-                continue
-            stats["evaluated"] += 1
-            k = g.num_colors
-            if per_k.get(k, -1) < val:
-                per_k[k] = val
-            if best is None or val > best:
-                best = val
-                optima = {ck: g}
-            elif val == best:
-                optima.setdefault(ck, g)
-
-        # Phase 2: extend, with the remaining-capacity cut (strict, so
-        # optimum ties survive for the all-optima listing). Keys are
-        # distinct, so sorting the children compares no graphs.
+        # Keys are distinct, so sorting the children compares no graphs.
         children: list = []
         seen: set = set()
-        for (_, g), val in zip(level, values):
-            if best is not None and p.objective == "max_rainbow_cycles" \
-                    and val + (total_pairs - g.m) * cap < best:
-                stats["pruned_bound"] += 1
-                continue
+        for ck, g in level:
+            if _eligible(g, p):
+                stats["evaluated"] += 1
+                val = _objective_value(g, p)
+                k = g.num_colors
+                if per_k.get(k, -1) < val:
+                    per_k[k] = val
+                if best is None or val > best:
+                    best = val
+                    optima = {ck: g}
+                elif val == best:
+                    optima.setdefault(ck, g)
             for child in _extend_one(g, p):
                 stats["nodes"] += 1
                 if stats["nodes"] > p.node_budget:
                     truncated = "nodes"
                     break
-                if child is None:
-                    stats["pruned_infeasible"] += 1
+                if isinstance(child, str):
+                    stats[child] += 1
                     continue
                 # key first: the canonical graph is built only for a new class
                 key = canonical_key(child)

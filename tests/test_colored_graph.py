@@ -15,8 +15,7 @@ import pytest
 
 from rainbowgraphs import colored_graph
 from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
-                                         automorphism_generators, build,
-                                         canonical_form, canonical_key,
+                                         build, canonical_form, canonical_key,
                                          color_partition, degree,
                                          is_properly_colored)
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
@@ -68,32 +67,6 @@ def _brute_isomorphic(a, b):
         if ok:
             return True
     return False
-
-
-def _is_automorphism(g, perm):
-    """Oracle: perm maps g's edges onto themselves under one color
-    bijection."""
-    if sorted(perm) != list(range(g.n)):
-        return False
-    nbr = g.neighbor_colors
-    cmap = {}
-    for u, v, c in g.edges:
-        image = nbr[perm[u]].get(perm[v])
-        if image is None or cmap.setdefault(c, image) != image:
-            return False
-    return len(set(cmap.values())) == len(cmap)
-
-
-def _orbits(n, perms):
-    """Vertex orbits of the group the perms generate, as a set of sets."""
-    orbit = {v: {v} for v in range(n)}
-    for perm in perms:
-        for v in range(n):
-            if orbit[v] is not orbit[perm[v]]:
-                merged = orbit[v] | orbit[perm[v]]
-                for w in merged:
-                    orbit[w] = merged
-    return {frozenset(o) for o in orbit.values()}
 
 
 # ---------------------------------------------------------------- build
@@ -231,27 +204,6 @@ def test_canonical_form_bytes_are_frozen():
         "ddfeec4d48a033433a3abbfeea18d0e67c43b24af6dea807e1e9da752b0d77a2")
 
 
-def test_automorphism_generators_against_brute_force():
-    # every generator the canonical walk keeps is an automorphism, and for
-    # n <= 6 the generated orbits are exactly the automorphism orbits
-    rng = Random(139)
-    graphs = [random_proper_graph(rng, n=rng.randint(1, 11), dense=i % 2 == 1)
-              for i in range(300)]
-    graphs += [hypercube(3), d_star(4), lower_bound_graph(12, 3)]
-    graphs += [build(g.n + pad, g.edges)
-               for g in graphs[:40:4] + [d_star(3)] for pad in (1, 3)]
-    for g in graphs:
-        _, rep = canonical_form(g)
-        for h in (rep, g):
-            gens = automorphism_generators(h)
-            assert len(gens) < max(h.n, 1)
-            assert all(_is_automorphism(h, a) for a in gens)
-            if h.n <= 6:
-                autos = [a for a in itertools.permutations(range(h.n))
-                         if _is_automorphism(h, a)]
-                assert _orbits(h.n, gens) == _orbits(h.n, autos)
-
-
 def test_canonical_key_beyond_recursion_limit():
     n = sys.getrecursionlimit() + 100
     key = canonical_key(build(n, []))
@@ -374,8 +326,8 @@ def test_canonical_form_idempotent():
 
 
 def test_canonical_form_walks_a_class_once(monkeypatch):
-    # the canonical graph carries its record from the source's walk, so
-    # its key and generators cost no second walk
+    # the canonical graph carries its code from the source's walk, so its
+    # key costs no second walk
     walks = []
     real = colored_graph._canonical_code
 
@@ -387,7 +339,6 @@ def test_canonical_form_walks_a_class_once(monkeypatch):
     g = build(6, [(0, 1, 0), (1, 2, 1), (3, 4, 0), (4, 5, 1)])
     key, rep = canonical_form(g)
     assert canonical_key(rep) == key
-    assert automorphism_generators(rep)
     assert walks == [g]
 
 

@@ -16,7 +16,7 @@ from rainbowgraphs.colored_graph import build
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import (rainbow_free_instances, random_colored_graph,
                                   random_proper_graph)
-from rainbowgraphs.rainbow import (RainbowWitness, count_per_edge,
+from rainbowgraphs.rainbow import (MAX_LEN, RainbowWitness, count_per_edge,
                                    enumerate_rainbow_cycles,
                                    enumerate_rainbow_paths, has_rainbow_path,
                                    has_rainbow_path_through,
@@ -416,10 +416,12 @@ def test_length_parameter_validation():
         enumerate_rainbow_paths(g, 0)
     with pytest.raises(ValueError):
         enumerate_rainbow_cycles(g, 2)
-    with pytest.raises(ValueError, match="62"):
-        enumerate_rainbow_paths(g, 63)
-    with pytest.raises(ValueError, match="62"):
-        has_rainbow_path(g, 63)
+    # MAX_LEN bounds the walk's recursion depth, not a bitmask
+    for f in (enumerate_rainbow_paths, enumerate_rainbow_cycles,
+              has_rainbow_path):
+        with pytest.raises(ValueError, match=r"^length parameter 63 exceeds "
+                           r"62, the limit on the walk's recursion depth$"):
+            f(g, MAX_LEN + 1)
     for threads in (0, -5):
         with pytest.raises(ValueError, match="threads must be >= 1"):
             enumerate_rainbow_paths(g, 1, threads=threads)

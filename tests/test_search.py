@@ -1,7 +1,7 @@
 """Exhaustive extremal search: frozen small-n values, the full optima
 list against every optimal labeled coloring of the brute-force reference,
-orbit pruning against unpruned extension, budget truncation, thread
-determinism, and that no worker thread runs.
+the canonical-deletion filter against brute-force levels, budget
+truncation, thread determinism, and that no worker thread runs.
 
 Every frozen value below was first computed with the unpruned naive
 reference (all edge subsets x all matching partitions); the acceptance
@@ -57,19 +57,20 @@ FROZEN = {
 }
 
 
-#: Candidate events (one per orbit of one-edge extensions) of the default
-#: search; deterministic, so a change that drops the automorphism
-#: generators, or tries every candidate again, moves them.
+#: Candidate events (every one-edge extension of every representative) of
+#: the default search; deterministic, so a change that skips candidates,
+#: or extends a class twice, moves them.
 NODES = {
-    (8, 3, "max_edges"): 4975,
-    (7, 4, "max_rainbow_cycles"): 16989,
+    (8, 3, "max_edges"): 15436,
+    (7, 4, "max_rainbow_cycles"): 29711,
 }
 
 #: result_to_dict with the node counters removed, over n 3..6 x ell 1..5 x
 #: both objectives with all_optima, except n = 6, ell = 5, which
-#: tests_frontier hashes; first computed before orbit pruning existed.
+#: tests_frontier hashes; first computed before orbit pruning existed, and
+#: re-pinned only for `pruned_bound`, 0 since the capacity cut was deleted.
 GRID_DIGEST = (
-    "11104348af0c88a93914fffee42f282d10c826ef1596909c3ed189cdff35d413")
+    "8121a219b0ca78ddf30cbffe94d82086c2a26802839eb78258db20b639723948")
 NODE_COUNTERS = ("nodes", "pruned_infeasible", "pruned_duplicate")
 
 
@@ -313,23 +314,33 @@ def test_node_counts_are_pinned(n, ell, objective):
     assert _solve(n, ell, objective).stats["nodes"] == NODES[(n, ell, objective)]
 
 
+def _brute_levels(n, ell, colors):
+    """Yield (problem, level, next level) from the empty graph on, where a
+    level maps each key to one graph of every class of rainbow-P_ell-free
+    colorings with m edges, found from every child of the level before."""
+    p = SearchProblem(n, ell, "max_edges", colors=colors)
+    level = [build(n, [])]
+    while level:
+        nxt = {}
+        for g in level:
+            for child in _every_child(g, p):
+                if not has_rainbow_path(child, ell):
+                    nxt.setdefault(canonical_key(child), child)
+        yield p, level, nxt
+        level = [canonical_form(g)[1] for g in nxt.values()]
+
+
 @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
-def test_orbit_pruning_keeps_every_child_class(ell):
-    # one candidate per orbit of the parent's automorphisms must still
-    # reach every isomorphism class of feasible children
-    tried = total = 0
-    for i, g in enumerate(_parents(300 + ell, ell, count=12)):
-        colors = None if i % 3 else max(g.num_colors, 1)
-        p = SearchProblem(max(g.n, 2), ell, "max_edges", colors=colors)
-        events = list(_extend_one(g, p))
-        children = list(_every_child(g, p))
-        tried += len(events)
-        total += len(children)
-        pruned = {canonical_key(c) for c in events if c is not None}
-        full = {canonical_key(c) for c in children
-                if not has_rainbow_path(c, ell)}
-        assert pruned == full
-    assert tried < total  # the parents are symmetric enough to prune
+def test_filtered_extension_reaches_every_class_of_the_next_level(ell):
+    # the candidates the filter keeps must still reach every class of
+    # feasible children, one level at a time
+    for n in range(2, 7):
+        for colors in (None, 2, 3):
+            for p, level, nxt in _brute_levels(n, ell, colors):
+                built = {canonical_key(child) for g in level
+                         for child in _extend_one(g, p)
+                         if not isinstance(child, str)}
+                assert built == set(nxt), (n, ell, colors, level[0].m)
 
 
 def test_every_search_child_is_proper():
@@ -338,7 +349,7 @@ def test_every_search_child_is_proper():
         for g in _parents(400 + ell, ell, count=15):
             p = SearchProblem(max(g.n, 2), ell, "max_edges")
             for child in _extend_one(g, p):
-                if child is not None:
+                if not isinstance(child, str):
                     assert is_properly_colored(build(child.n, child.edges))
 
 
