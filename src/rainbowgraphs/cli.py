@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 at least one check failed, 2 usage or input
 error. stdout carries data only; diagnostics and timing go to stderr.
 Every verb has a machine-readable mode via --json with stable field
-names. --threads (default: the RAINBOWGRAPHS_THREADS environment
-variable) must be >= 1; the work currently runs serially.
+names. --threads (default 1) must be >= 1; the work currently runs
+serially.
 """
 
 from __future__ import annotations
@@ -23,17 +23,9 @@ from .rainbow import (count_per_edge, enumerate_rainbow_cycles,
                       enumerate_rainbow_paths)
 from .search import SearchProblem, probe_color_count, solve
 
-_THREADS_ENV = "RAINBOWGRAPHS_THREADS"
 #: Vertex ceiling of check --random: a random graph lists all n(n-1)/2
 #: pairs, about 64 MB at n = 1000.
 _MAX_RANDOM_N = 1000
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(_THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -99,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--paths", type=int, metavar="ELL",
                       help="count rainbow paths with ELL edges")
     p.add_argument("--witnesses", action="store_true", help="list witness lines")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("search", help="exhaustive extremal search at small n")
@@ -110,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tabulate best cycle count per exact number of colors")
     p.add_argument("--colors", type=int, help="restrict to exactly this many colors")
     p.add_argument("--all-optima", action="store_true")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=10 ** 9)
     p.add_argument("--time-budget", type=float)
     p.add_argument("--json", action="store_true")

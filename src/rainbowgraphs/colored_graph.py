@@ -11,13 +11,14 @@ combined with some color bijection maps one onto the other. The
 canonicalizer builds one flat code, walking vertex orderings within a
 refined partition on an explicit stack and following only the least rows
 at each position; it starts with the isolated vertices placed in order.
-That code is the one record of the walk a graph caches: the key is read
-from it, and the canonical graph is built from it.
+The key holding that code is the one record of the walk a graph caches,
+and the canonical graph is built from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 #: Vertex ceiling of every graph, so a huge declared n fails fast instead of
 #: allocating per-vertex tables; the largest construction is hypercube(16).
@@ -205,11 +206,16 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
     order), which is isomorphism-invariant, so the minimum is a complete
     invariant. A depth-first walk over a stack of prefixes finds it,
     pushing only the next vertices with the least row (a smaller sibling
-    row beats every completion of a larger one); a leaf that only ties
-    the best code is skipped. Isolated vertices, the only ones that can
-    share a neighbor -> color map in a proper coloring, have the least
-    refinement signature, so they fill the first cell with all-zero rows;
-    the walk starts with them placed in order.
+    row beats every completion of a larger one). Every stack entry shares
+    the rows of the path being walked, kept once in `rows`, so a prefix
+    popped while a best code is known equals it up to its length, and
+    only its least row is compared with the best's row at that position:
+    a greater row drops the prefix, a smaller one clears the best, and the
+    walk then runs straight down to a leaf that becomes the new best; a
+    leaf reached while the best is kept only ties it. Isolated vertices,
+    the only ones that can share a neighbor -> color map in a proper
+    coloring, have the least refinement signature, so they fill the first
+    cell with all-zero rows; the walk starts with them placed in order.
     """
     n = g.n
     if n == 0:
@@ -223,17 +229,16 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
     cell_at = [cells[r] for r in sorted(rank)]
     iso = tuple(v for v in range(n) if not nbr[v])
 
-    best: tuple[int, ...] | None = None
-    stack: list = [(iso, (0,) * (len(iso) * (len(iso) - 1) // 2), {})]
+    best: list | None = None
+    rows: list = [(0,) * i for i in range(len(iso))]
+    stack: list = [(iso, {})]
     while stack:
-        order, code, slot = stack.pop()
-        # a proper prefix of best compares less, so this drops a prefix
-        # beyond best[:len(code)] and a leaf that ties best
-        if best is not None and code >= best:
-            continue
+        order, slot = stack.pop()
         i = len(order)
+        del rows[i:]
         if i == n:
-            best = code
+            if best is None:
+                best = rows[:]
             continue
         placed = set(order)
         children = []
@@ -249,36 +254,34 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
             row = tuple([1 + vslot[vn[u]] if u in vn else 0 for u in order])
             children.append((row, v, vslot))
         least = min(children)[0]  # ties break on v, never on the dicts
-        least_code = code + least
+        if best is not None:
+            if least > best[i]:
+                continue
+            if least < best[i]:
+                best = None
+        rows.append(least)
         for row, v, vslot in reversed(children):
             if row == least:
-                stack.append((order + (v,), least_code, vslot))
+                stack.append((order + (v,), vslot))
     assert best is not None
-    return best
-
-
-def _canon_walk(g: EdgeColoredGraph) -> tuple[int, ...]:
-    """The canonical walk's code, cached on g; on a graph from
-    canonical_form, the code it was given."""
-    walk = g._cache.get("walk")
-    if walk is None:
-        if not is_properly_colored(g):
-            raise ValueError("canonical form requires a properly colored graph")
-        walk = _canonical_code(g)
-        g._cache["walk"] = walk
-    return walk
+    return tuple(chain.from_iterable(best))
 
 
 def canonical_key(g: EdgeColoredGraph):
     """Opaque isomorphism-class key (vertex bijection + color bijection).
 
     Equal keys mean a vertex bijection plus a color bijection maps one
-    graph onto the other. The key is (n, k, flat canonical code), read
-    from the graph's walk record; no graph is built for it, so rejecting a
-    duplicate costs only the canonical walk. Requires a properly colored
-    input.
+    graph onto the other. The key is (n, k, flat canonical code), cached
+    on g; no graph is built for it, so rejecting a duplicate costs only
+    the canonical walk. Requires a properly colored input.
     """
-    return (g.n, g.num_colors, _canon_walk(g))
+    key = g._cache.get("key")
+    if key is None:
+        if not is_properly_colored(g):
+            raise ValueError("canonical form requires a properly colored graph")
+        key = (g.n, g.num_colors, _canonical_code(g))
+        g._cache["key"] = key
+    return key
 
 
 def canonical_form(g: EdgeColoredGraph):
@@ -286,19 +289,13 @@ def canonical_form(g: EdgeColoredGraph):
 
     The key is canonical_key(g). The relabeled graph is the canonical
     representative itself, identical bytes for every member of an
-    isomorphism class; it is built from the code held in the key, only
-    when asked for, and then cached with that code as its walk record, so
-    it is never walked.
+    isomorphism class; it is built from the code held in the key on every
+    call, and carries that key in its cache, so it is never walked.
     """
-    cached = g._cache.get("canon")
-    if cached is None:
-        key = canonical_key(g)
-        code = key[2]
-        # cell j of row i sits at flat index i*(i-1)/2 + j
-        pairs = [(j, i) for i in range(g.n) for j in range(i)]
-        edges = [(j, i, cell - 1) for (j, i), cell in zip(pairs, code) if cell]
-        rep = build(g.n, edges)
-        rep._cache["walk"] = code
-        cached = (key, rep)
-        g._cache["canon"] = cached
-    return cached
+    key = canonical_key(g)
+    # cell j of row i sits at flat index i*(i-1)/2 + j
+    pairs = [(j, i) for i in range(g.n) for j in range(i)]
+    rep = build(g.n, [(j, i, cell - 1)
+                      for (j, i), cell in zip(pairs, key[2]) if cell])
+    rep._cache["key"] = key
+    return key, rep

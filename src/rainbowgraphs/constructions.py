@@ -89,10 +89,8 @@ class ConstructionSpec:
         return self.copies * (1 << (self.ell - 1)) + self.pad
 
     def realize(self) -> EdgeColoredGraph:
-        block = d_star(self.ell)
-        return build(self.n, [(u + s, v + s, c)
-                              for s in range(0, self.copies * block.n, block.n)
-                              for u, v, c in block.edges])
+        return disjoint_union([d_star(self.ell)] * self.copies
+                              + [build(self.pad, [])])
 
 
 def lower_bound_graph(n: int, ell: int) -> EdgeColoredGraph:

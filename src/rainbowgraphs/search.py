@@ -15,7 +15,12 @@ a feasible graph with m+1 edges leaves a class of the level before, and
 inv is isomorphism-invariant. So every class is reached by a candidate
 edge (u, v, c) that has the largest inv in its child, and a candidate
 that does not is a duplicate; that test reads the parent's degrees and
-class sizes, and no child is built for it.
+class sizes, and no child is built for it. Per vertex pair it takes one
+bound, the largest inv over the parent's edges with the degrees of u
+and v raised. Edges of the new edge's class c may enter that bound: they
+touch neither u nor v, so unless one of them already has a larger
+degree pair (checked per class), each is one size short of the new
+edge and below it.
 A parent is rainbow-P_ell-free, so a candidate makes an infeasible child
 exactly when a rainbow P_ell runs through it;
 rainbow.has_rainbow_path_through decides that on the parent's adjacency,
@@ -122,28 +127,28 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
     the candidate falls in, "pruned_duplicate" or "pruned_infeasible".
 
     inv(x, y, d) = (min degree, max degree, size of class d) in the
-    child. Adding (u, v, c) changes only the keys of edges at u, at v or
-    in class c, so g's edges are ranked by inv once, and a candidate
-    re-keys only those (McKay 1998). g is rainbow-P_ell-free, so a child
-    is infeasible exactly when a rainbow P_ell runs through its new edge;
-    that is decided on g's own adjacency, and only feasible children are
-    built. The new color is free at u and at v, so every child is proper.
-    Lazy, so a node budget stops the work at the exact candidate that
-    breaches it."""
+    child (McKay 1998). Per vertex pair, `bound` is the largest key of
+    g's edges with the degrees of u and v raised and the sizes of g; the
+    new edge's key is pair + (size[c] + 1,). No class-c edge touches u
+    or v, and in the child each gains one in size: the candidate loses
+    to one of them exactly when pair < top_pair[c], the largest degree
+    pair in class c. Otherwise each class-c key in g, (pair_e, size[c]),
+    is below the new key, so letting class c into `bound` adds nothing.
+    g is rainbow-P_ell-free, so a child is infeasible exactly when a
+    rainbow P_ell runs through its new edge; that is decided on g's own
+    adjacency, and only feasible children are built. The new color is
+    free at u and at v, so every child is proper. Lazy, so a node budget
+    stops the work at the exact candidate that breaches it."""
     nbr = g.neighbor_colors
     k = g.num_colors
     max_new = p.colors if p.colors is not None else p.n * p.n
     deg = [len(row) for row in nbr]
     size = [0] * (k + 1)  # class k is the new color
-    for _, _, d in g.edges:
-        size[d] += 1
-    ranked = sorted((((min(deg[x], deg[y]), max(deg[x], deg[y]), size[d]),
-                      x, y, d) for x, y, d in g.edges), reverse=True)
-    # largest (min degree, max degree) per class: in the child, class c's
-    # edges all gain the same size as the new edge
     top_pair = [(0, 0)] * (k + 1)
-    for key, _, _, d in ranked:
-        top_pair[d] = max(top_pair[d], key[:2])
+    for x, y, d in g.edges:
+        size[d] += 1
+        top_pair[d] = max(top_pair[d],
+                          (min(deg[x], deg[y]), max(deg[x], deg[y])))
     for u, v in combinations(range(g.n), 2):
         if v in nbr[u]:
             continue
@@ -151,26 +156,20 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
         allowed = [c for c in range(k) if c not in used]
         if k < max_new:
             allowed.append(k)
-        du, dv = deg[u] + 1, deg[v] + 1
-        pair = (min(du, dv), max(du, dv))
-        # largest child key at u and at v; these edges are in no allowed
-        # class, so their sizes stay
-        near = max([(min(dx, deg[w]), max(dx, deg[w]), size[d])
-                    for x, dx in ((u, du), (v, dv))
-                    for w, d in nbr[x].items()], default=())
+        deg[u] += 1
+        deg[v] += 1
+        pair = (min(deg[u], deg[v]), max(deg[u], deg[v]))
+        bound = max(((min(deg[x], deg[y]), max(deg[x], deg[y]), size[d])
+                     for x, y, d in g.edges), default=())
+        deg[u] -= 1
+        deg[v] -= 1
         for c in allowed:
-            new = pair + (size[c] + 1,)
-            # largest key of the edges the candidate leaves unchanged
-            far = next((key for key, x, y, d in ranked if d != c
-                        and x != u and x != v and y != u and y != v), ())
-            if new < near or new < far or pair < top_pair[c]:
+            if pair + (size[c] + 1,) < bound or pair < top_pair[c]:
                 yield "pruned_duplicate"
             elif has_rainbow_path_through(g, u, v, c, p.ell):
                 yield "pruned_infeasible"
             else:
-                child = build(g.n, g.edges + ((u, v, c),))
-                child._cache["proper"] = True
-                yield child
+                yield build(g.n, g.edges + ((u, v, c),))
 
 
 def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:
@@ -193,9 +192,9 @@ def _run(p: SearchProblem):
     level = [canonical_form(build(p.n, []))]
     while level and truncated is None:
         stats["levels"] += 1
-        # Keys are distinct, so sorting the children compares no graphs.
-        children: list = []
-        seen: set = set()
+        # key -> canonical graph; keys are distinct, so sorting the
+        # children compares no graphs
+        children: dict = {}
         for ck, g in level:
             if _eligible(g, p):
                 stats["evaluated"] += 1
@@ -218,17 +217,16 @@ def _run(p: SearchProblem):
                     continue
                 # key first: the canonical graph is built only for a new class
                 key = canonical_key(child)
-                if key in seen:
+                if key in children:
                     stats["pruned_duplicate"] += 1
                     continue
-                seen.add(key)
-                children.append(canonical_form(child))
+                children[key] = canonical_form(child)[1]
             if truncated is None and p.time_budget is not None \
                     and time.perf_counter() - t0 > p.time_budget:
                 truncated = "time"
             if truncated is not None:
                 break
-        level = sorted(children)
+        level = sorted(children.items())
 
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated

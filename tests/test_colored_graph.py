@@ -9,6 +9,7 @@ directions against a brute-force isomorphism oracle on small graphs.
 import hashlib
 import itertools
 import sys
+import time
 from random import Random
 
 import pytest
@@ -19,7 +20,7 @@ from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
                                          color_partition, degree,
                                          is_properly_colored)
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
-from rainbowgraphs.corpus import random_proper_graph
+from rainbowgraphs.corpus import _greedy_color, random_proper_graph
 from rainbowgraphs.reference import matching_partitions
 
 
@@ -208,6 +209,18 @@ def test_canonical_key_beyond_recursion_limit():
     n = sys.getrecursionlimit() + 100
     key = canonical_key(build(n, []))
     assert key == (n, 0, (0,) * (n * (n - 1) // 2))
+
+
+def test_canonical_walk_is_not_quadratic_in_the_placed_count():
+    # a long walk path must not copy its whole prefix at every step; on
+    # these 300 vertices that made the walk about eight times slower
+    rng = Random(1)
+    n = 300
+    pairs = rng.sample(list(itertools.combinations(range(n), 2)), 300)
+    g = build(n, _greedy_color(rng, n, pairs, 3))
+    start = time.perf_counter()
+    canonical_key(g)
+    assert time.perf_counter() - start < 3
 
 
 def test_isolated_vertices_are_placed_in_order():

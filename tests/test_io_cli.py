@@ -600,19 +600,6 @@ def test_cli_broken_pipe_escapes_run(monkeypatch):
 # ------------------------------------------------------- CLI: threading
 
 
-def test_cli_threads_env_default(monkeypatch, tmp_path, capsys):
-    path = tmp_path / "g.cel"
-    path.write_text(write_graph_file(d_star(4)))
-    base_code, base_out, _ = _run(capsys, "count", "--input", str(path),
-                                  "--cycles", "4")
-    monkeypatch.setenv("RAINBOWGRAPHS_THREADS", "3")
-    code, out, _ = _run(capsys, "count", "--input", str(path), "--cycles", "4")
-    assert code == base_code == 0 and out == base_out
-    monkeypatch.setenv("RAINBOWGRAPHS_THREADS", "not-a-number")
-    code, out, _ = _run(capsys, "count", "--input", str(path), "--cycles", "4")
-    assert code == 0 and out == base_out
-
-
 def test_cli_explicit_threads_flag(tmp_path, capsys):
     path = tmp_path / "g.cel"
     path.write_text(D3_TEXT)

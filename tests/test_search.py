@@ -343,8 +343,28 @@ def test_filtered_extension_reaches_every_class_of_the_next_level(ell):
                 assert built == set(nxt), (n, ell, colors, level[0].m)
 
 
+#: SHA-256 over every event `_extend_one` yields on `_parents(500 + ell,
+#: ell)` for ell 1..5 and colors None, 2 and 3: the counter name, or the
+#: child's edge list. GRID_DIGEST drops the filter's counters, so this
+#: pins which candidates the filter and the feasibility test reject.
+EVENTS_DIGEST = (
+    "ebec5f9455139409a062c770a7bb3a91623f53cfa6b138cc642e57881bc7f2eb")
+
+
+def test_extension_events_are_frozen():
+    h = hashlib.sha256()
+    for ell in range(1, 6):
+        for g in _parents(500 + ell, ell):
+            for colors in (None, 2, 3):
+                p = SearchProblem(max(g.n, 2), ell, "max_edges", colors=colors)
+                for event in _extend_one(g, p):
+                    text = event if isinstance(event, str) else repr(event.edges)
+                    h.update(text.encode() + b"\n")
+    assert h.hexdigest() == EVENTS_DIGEST
+
+
 def test_every_search_child_is_proper():
-    # the child's cached "proper" flag is set, not computed: check it
+    # the properness check runs on a fresh copy of each child
     for ell in (1, 3, 5):
         for g in _parents(400 + ell, ell, count=15):
             p = SearchProblem(max(g.n, 2), ell, "max_edges")
