@@ -151,11 +151,31 @@ def enumerate_rainbow_paths(g: EdgeColoredGraph, ell: int,
     return [RainbowWitness("path", vs, cs) for vs, cs in found]
 
 
+def _is_bipartite(nbr) -> bool:
+    # breadth-first 2-coloring, given up at the first clash
+    side = [-1] * len(nbr)
+    for s in range(len(nbr)):
+        if side[s] < 0:
+            side[s] = 0
+            queue = [s]
+            for x in queue:
+                for y in nbr[x]:
+                    if side[y] < 0:
+                        side[y] = 1 - side[x]
+                        queue.append(y)
+                    elif side[y] == side[x]:
+                        return False
+    return True
+
+
 def _cycles(g: EdgeColoredGraph, ell: int) -> list:
     # roots r in decreasing order, each the minimal vertex of its cycles:
     # walk ell-1 edges on `above`, which then holds only the neighbors
     # above r, and close back to r with an unused color
     nbr = g.neighbor_colors
+    # a bipartite graph has no odd cycle: no walk of odd ell can close
+    if ell % 2 and _is_bipartite(nbr):
+        return []
     above: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     found = []
 

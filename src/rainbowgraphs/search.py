@@ -27,7 +27,9 @@ rainbow.has_rainbow_path_through decides that on the parent's adjacency,
 and infeasible children are never built. A feasible child is
 deduplicated by its canonical key alone; the canonical graph is built
 only for a key not seen before at this level. Node counts count every
-candidate tried.
+candidate tried. A level is one dict, key -> canonical graph, popped in
+key order, so each parent and its cached tables go once it is extended;
+optima are kept as edge lists.
 
 Objectives: max_edges and max_rainbow_cycles, both under the rainbow-path
 freeness constraint. No bound cuts a representative: a cut by the
@@ -188,14 +190,12 @@ def _run(p: SearchProblem):
     per_k: dict[int, int] = {}
     truncated = None
 
-    # level entries are (canonical key, canonical graph) pairs
-    level = [canonical_form(build(p.n, []))]
+    level = dict([canonical_form(build(p.n, []))])
     while level and truncated is None:
         stats["levels"] += 1
-        # key -> canonical graph; keys are distinct, so sorting the
-        # children compares no graphs
         children: dict = {}
-        for ck, g in level:
+        for ck in sorted(level):
+            g = level.pop(ck)
             if _eligible(g, p):
                 stats["evaluated"] += 1
                 val = _objective_value(g, p)
@@ -204,9 +204,9 @@ def _run(p: SearchProblem):
                     per_k[k] = val
                 if best is None or val > best:
                     best = val
-                    optima = {ck: g}
+                    optima = {ck: g.edges}
                 elif val == best:
-                    optima.setdefault(ck, g)
+                    optima.setdefault(ck, g.edges)
             for child in _extend_one(g, p):
                 stats["nodes"] += 1
                 if stats["nodes"] > p.node_budget:
@@ -226,12 +226,12 @@ def _run(p: SearchProblem):
                 truncated = "time"
             if truncated is not None:
                 break
-        level = sorted(children.items())
+        level = children
 
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated
     value = 0 if best is None else best
-    ordered = tuple(optima[k] for k in sorted(optima))
+    ordered = tuple(build(p.n, optima[k]) for k in sorted(optima))
     return value, ordered, per_k, stats, truncated is None
 
 

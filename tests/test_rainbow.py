@@ -404,6 +404,8 @@ def test_large_cube_cycle_enumeration_is_not_quadratic():
     g = hypercube(12)
     start = time.perf_counter()
     assert enumerate_rainbow_cycles(g, 4) == []
+    # bipartite: an odd length stops before any walk
+    assert enumerate_rainbow_cycles(g, 5) == []
     assert time.perf_counter() - start < 10
 
 

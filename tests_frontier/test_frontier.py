@@ -1,6 +1,6 @@
 """Exact values at the search's frontier, frozen as regression values.
 
-These runs take seconds to tens of seconds each, so they sit outside the
+These runs take seconds to minutes each, so they sit outside the
 tier-1 `testpaths`. Run them with
 
     PYTHONPATH=src python -m pytest -q tests_frontier
@@ -35,6 +35,16 @@ FRONTIER = {
     (7, 5, "max_edges"): 15,
     # rainbowgraphs search --n 10 --ell 3 --objective cycles
     (10, 3, "max_rainbow_cycles"): 8,
+    # rainbowgraphs search --n 9 --ell 4 --objective cycles
+    (9, 4, "max_rainbow_cycles"): 24,
+    # rainbowgraphs search --n 9 --ell 4 --objective edges
+    (9, 4, "max_edges"): 16,
+    # rainbowgraphs search --n 8 --ell 5 --objective cycles
+    (8, 5, "max_rainbow_cycles"): 32,
+    # rainbowgraphs search --n 8 --ell 5 --objective edges
+    (8, 5, "max_edges"): 20,
+    # rainbowgraphs search --n 10 --ell 4 --objective cycles
+    (10, 4, "max_rainbow_cycles"): 24,
 }
 
 
@@ -57,7 +67,7 @@ def test_frontier_value_is_exhaustive_and_witnessed(n, ell, objective):
         assert len(enumerate_rainbow_cycles(w, ell)) == res.value
 
 
-@pytest.mark.parametrize("n,ell", [(8, 4), (10, 3)])
+@pytest.mark.parametrize("n,ell", [(8, 4), (10, 3), (9, 4), (10, 4)])
 def test_frontier_value_equals_construction_count(n, ell):
     # the search's optimum is attained by the paper's construction
     res = _solve(n, ell, "max_rainbow_cycles")
