@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="run the suite over COUNT seeded random proper colorings")
     p.add_argument("--ell", type=int, help="cycle/path length parameter")
     p.add_argument("--suite", choices=["p5"],
-                   help="preset: the length-5 checker set")
+                   help="preset: the length-5 checker set (--input only)")
     p.add_argument("--seed", type=int, default=0, help="corpus seed for --random")
     p.add_argument("--max-n", type=int, default=10,
                    help="vertex ceiling for --random corpora "
@@ -141,6 +141,14 @@ def _report_line(r: checkers.CheckReport, prefix: str = "") -> str:
 
 
 def _cmd_check(args) -> int:
+    if args.suite is not None:
+        if args.input is None:
+            print("--suite applies only to check --input", file=sys.stderr)
+            return 2
+        if args.ell not in (None, 5):
+            print(f"--suite p5 runs ell = 5, not --ell {args.ell}",
+                  file=sys.stderr)
+            return 2
     if args.construction is not None:
         reports = [("", checkers.verify_construction(args.construction))]
         seed = None
@@ -217,6 +225,13 @@ def _cmd_count(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.probe_colors:
+        for flag, given in (("--objective", args.objective is not None),
+                            ("--colors", args.colors is not None),
+                            ("--all-optima", args.all_optima),
+                            ("--time-budget", args.time_budget is not None)):
+            if given:
+                print(f"--probe-colors does not take {flag}", file=sys.stderr)
+                return 2
         table = probe_color_count(args.n, args.ell, node_budget=args.node_budget,
                                   threads=args.threads)
         if args.json:

@@ -284,18 +284,23 @@ def canonical_key(g: EdgeColoredGraph):
     return key
 
 
+def graph_of_key(key) -> EdgeColoredGraph:
+    """The canonical representative of the class `key` names, built from
+    the code the key holds: identical bytes for every member of the
+    class. It carries the key in its cache, so it is never walked."""
+    n, _, code = key
+    # cell j of row i sits at flat index i*(i-1)/2 + j
+    pairs = [(j, i) for i in range(n) for j in range(i)]
+    g = build(n, [(j, i, cell - 1) for (j, i), cell in zip(pairs, code) if cell])
+    g._cache["key"] = key
+    return g
+
+
 def canonical_form(g: EdgeColoredGraph):
     """Return (key, canonically relabeled graph).
 
-    The key is canonical_key(g). The relabeled graph is the canonical
-    representative itself, identical bytes for every member of an
-    isomorphism class; it is built from the code held in the key on every
-    call, and carries that key in its cache, so it is never walked.
+    The key is canonical_key(g) and the graph is graph_of_key(key), the
+    canonical representative, decoded from the key on every call.
     """
     key = canonical_key(g)
-    # cell j of row i sits at flat index i*(i-1)/2 + j
-    pairs = [(j, i) for i in range(g.n) for j in range(i)]
-    rep = build(g.n, [(j, i, cell - 1)
-                      for (j, i), cell in zip(pairs, key[2]) if cell])
-    rep._cache["key"] = key
-    return key, rep
+    return key, graph_of_key(key)

@@ -25,11 +25,12 @@ A parent is rainbow-P_ell-free, so a candidate makes an infeasible child
 exactly when a rainbow P_ell runs through it;
 rainbow.has_rainbow_path_through decides that on the parent's adjacency,
 and infeasible children are never built. A feasible child is
-deduplicated by its canonical key alone; the canonical graph is built
-only for a key not seen before at this level. Node counts count every
-candidate tried. A level is one dict, key -> canonical graph, popped in
-key order, so each parent and its cached tables go once it is extended;
-optima are kept as edge lists.
+deduplicated by its canonical key alone, and a level is the sorted list
+of its keys. Each parent is decoded from its key
+(colored_graph.graph_of_key) when its turn comes, so a class's canonical
+graph is built once and lives only through that turn, with the tables
+cached on it; optima are kept as keys and decoded at the end. Node
+counts count every candidate tried.
 
 Objectives: max_edges and max_rainbow_cycles, both under the rainbow-path
 freeness constraint. No bound cuts a representative: a cut by the
@@ -50,7 +51,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .colored_graph import (EdgeColoredGraph, build, canonical_form,
-                            canonical_key, degree, is_properly_colored)
+                            canonical_key, degree, graph_of_key,
+                            is_properly_colored)
 from .rainbow import (MAX_LEN, enumerate_rainbow_cycles, has_rainbow_path,
                       has_rainbow_path_through)
 
@@ -186,16 +188,16 @@ def _run(p: SearchProblem):
         "pruned_infeasible": 0, "pruned_duplicate": 0, "pruned_bound": 0,
     }
     best: int | None = None
-    optima: dict = {}
+    optima: list = []
     per_k: dict[int, int] = {}
     truncated = None
 
-    level = dict([canonical_form(build(p.n, []))])
+    level = [canonical_form(build(p.n, []))[0]]
     while level and truncated is None:
         stats["levels"] += 1
-        children: dict = {}
-        for ck in sorted(level):
-            g = level.pop(ck)
+        children: set = set()
+        for ck in level:
+            g = graph_of_key(ck)
             if _eligible(g, p):
                 stats["evaluated"] += 1
                 val = _objective_value(g, p)
@@ -204,9 +206,9 @@ def _run(p: SearchProblem):
                     per_k[k] = val
                 if best is None or val > best:
                     best = val
-                    optima = {ck: g.edges}
+                    optima = [ck]
                 elif val == best:
-                    optima.setdefault(ck, g.edges)
+                    optima.append(ck)
             for child in _extend_one(g, p):
                 stats["nodes"] += 1
                 if stats["nodes"] > p.node_budget:
@@ -215,23 +217,22 @@ def _run(p: SearchProblem):
                 if isinstance(child, str):
                     stats[child] += 1
                     continue
-                # key first: the canonical graph is built only for a new class
                 key = canonical_key(child)
                 if key in children:
                     stats["pruned_duplicate"] += 1
                     continue
-                children[key] = canonical_form(child)[1]
+                children.add(key)
             if truncated is None and p.time_budget is not None \
                     and time.perf_counter() - t0 > p.time_budget:
                 truncated = "time"
             if truncated is not None:
                 break
-        level = children
+        level = sorted(children)
 
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated
     value = 0 if best is None else best
-    ordered = tuple(build(p.n, optima[k]) for k in sorted(optima))
+    ordered = tuple(graph_of_key(k) for k in sorted(optima))
     return value, ordered, per_k, stats, truncated is None
 
 

@@ -220,6 +220,19 @@ def test_cli_check_file_with_p5_suite(tmp_path, capsys):
     assert len(passes) == 6
 
 
+def test_cli_check_suite_rejects_flags_it_would_ignore(tmp_path, capsys):
+    path = tmp_path / "g.cel"
+    path.write_text(write_graph_file(d_star(4)))
+    for argv, word in ((("--input", str(path), "--ell", "4"), "--ell 4"),
+                       (("--construction", "5"), "--input"),
+                       (("--random", "2", "--ell", "5"), "--input")):
+        code, out, err = _run(capsys, "check", *argv, "--suite", "p5")
+        assert code == 2 and out == "" and word in err and "--suite" in err
+    code, _, _ = _run(capsys, "check", "--input", str(path), "--suite", "p5",
+                      "--ell", "5")
+    assert code != 2
+
+
 def test_cli_check_random_prints_seed_and_is_deterministic(capsys):
     code, out1, _ = _run(capsys, "check", "--random", "5", "--ell", "3",
                          "--seed", "7")
@@ -290,6 +303,14 @@ def test_cli_search_probe_colors(capsys):
                         "--probe-colors")
     assert code == 0
     assert out.splitlines() == ["exhaustive true", "0 0", "1 0", "2 0", "3 4"]
+
+
+def test_cli_search_probe_colors_rejects_flags_it_would_ignore(capsys):
+    for extra in (("--objective", "edges"), ("--colors", "2"),
+                  ("--all-optima",), ("--time-budget", "0")):
+        code, out, err = _run(capsys, "search", "--n", "4", "--ell", "3",
+                              "--probe-colors", *extra)
+        assert code == 2 and out == "" and extra[0] in err
 
 
 def test_cli_search_requires_objective_or_probe(capsys):

@@ -305,11 +305,12 @@ def test_witness_recheck_ignores_counts_cached_on_the_witness():
 
 
 def test_search_releases_each_parent_once_it_is_extended():
-    # a level is emptied as it is walked, and optima are kept as edge
-    # lists, so a parent and the tables cached on it do not outlive its
-    # turn: a peak of about 23 KiB, against 102 KiB while a level held
-    # them. A first run also fills the interpreter's free lists, which
-    # tracemalloc counts, so the traced run is the second.
+    # a level holds canonical keys and optima are kept as keys, so a
+    # parent, decoded from its key when its turn comes, and the tables
+    # cached on it do not outlive that turn: a peak of about 19 KiB,
+    # against 102 KiB while a level held every graph. A first run also
+    # fills the interpreter's free lists, which tracemalloc counts, so
+    # the traced run is the second.
     p = SearchProblem(5, 5, "max_rainbow_cycles")
     solve(p)
     tracemalloc.start()
