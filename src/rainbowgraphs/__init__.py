@@ -5,11 +5,9 @@ from .checkers import (CheckReport, check_avg_degree_on_v_prime,
                        check_degree_lemma, check_general_upper_per_edge,
                        check_k_color_edge_bound, check_p5_edge_bound,
                        check_p5_max_degree, run_suite, verify_construction)
-from .colored_graph import (ColorPartition, EdgeColoredGraph, build,
-                            canonical_form, canonical_key, color_partition,
-                            degree, is_properly_colored)
-from .constructions import (ConstructionSpec, d_star, disjoint_union,
-                            hypercube, lower_bound_graph)
+from .colored_graph import (EdgeColoredGraph, build, canonical_form,
+                            canonical_key, degree, is_properly_colored)
+from .constructions import d_star, disjoint_union, hypercube, lower_bound_graph
 from .graph_io import (parse_graph_file, parse_witness_line, to_dot,
                        witness_line, write_graph_file)
 from .rainbow import (RainbowWitness, count_per_edge, enumerate_rainbow_cycles,
@@ -21,13 +19,12 @@ from .search import (ColorProbeTable, ExtremalResult, SearchProblem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport", "ColorPartition", "ColorProbeTable", "ConstructionSpec",
-    "EdgeColoredGraph", "ExtremalResult", "RainbowWitness", "SearchProblem",
-    "build", "canonical_form", "canonical_key",
-    "check_avg_degree_on_v_prime", "check_degree_lemma",
+    "CheckReport", "ColorProbeTable", "EdgeColoredGraph", "ExtremalResult",
+    "RainbowWitness", "SearchProblem", "build", "canonical_form",
+    "canonical_key", "check_avg_degree_on_v_prime", "check_degree_lemma",
     "check_general_upper_per_edge", "check_k_color_edge_bound",
-    "check_p5_edge_bound", "check_p5_max_degree", "color_partition",
-    "count_per_edge", "d_star", "degree", "disjoint_union",
+    "check_p5_edge_bound", "check_p5_max_degree", "count_per_edge",
+    "d_star", "degree", "disjoint_union",
     "enumerate_rainbow_cycles", "enumerate_rainbow_paths", "has_rainbow_path",
     "hypercube", "is_properly_colored", "lower_bound_graph",
     "parse_graph_file", "parse_witness_line", "probe_color_count",

@@ -74,13 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="self-check the diagonal construction")
     src.add_argument("--random", type=int, metavar="COUNT",
                      help="run the suite over COUNT seeded random proper colorings")
-    p.add_argument("--ell", type=int, help="cycle/path length parameter")
+    p.add_argument("--ell", type=int, help="cycle/path length (--input or --random)")
     p.add_argument("--suite", choices=["p5"],
                    help="preset: the length-5 checker set (--input only)")
-    p.add_argument("--seed", type=int, default=0, help="corpus seed for --random")
-    p.add_argument("--max-n", type=int, default=10,
+    p.add_argument("--seed", type=int, help="corpus seed for --random (default 0)")
+    p.add_argument("--max-n", type=int,
                    help="vertex ceiling for --random corpora "
-                        f"(3..{_MAX_RANDOM_N})")
+                        f"(3..{_MAX_RANDOM_N}, default 10)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("count", help="count rainbow paths or cycles")
@@ -141,14 +141,18 @@ def _report_line(r: checkers.CheckReport, prefix: str = "") -> str:
 
 
 def _cmd_check(args) -> int:
-    if args.suite is not None:
-        if args.input is None:
-            print("--suite applies only to check --input", file=sys.stderr)
+    source = next(f"--{f}" for f in ("input", "construction", "random")
+                  if getattr(args, f) is not None)
+    for flag, value, where in (("--suite", args.suite, "--input"),
+                               ("--seed", args.seed, "--random"),
+                               ("--max-n", args.max_n, "--random"),
+                               ("--ell", args.ell, "--input or --random")):
+        if value is not None and source not in where:
+            print(f"{flag} applies only to check {where}", file=sys.stderr)
             return 2
-        if args.ell not in (None, 5):
-            print(f"--suite p5 runs ell = 5, not --ell {args.ell}",
-                  file=sys.stderr)
-            return 2
+    if args.suite is not None and args.ell not in (None, 5):
+        print(f"--suite p5 runs ell = 5, not --ell {args.ell}", file=sys.stderr)
+        return 2
     if args.construction is not None:
         reports = [("", checkers.verify_construction(args.construction))]
         seed = None
@@ -168,15 +172,16 @@ def _cmd_check(args) -> int:
             print(f"check --random needs COUNT >= 1, got {args.random}",
                   file=sys.stderr)
             return 2
-        if not 3 <= args.max_n <= _MAX_RANDOM_N:
-            print(f"--max-n must be in 3..{_MAX_RANDOM_N}, got {args.max_n}",
+        max_n = 10 if args.max_n is None else args.max_n
+        if not 3 <= max_n <= _MAX_RANDOM_N:
+            print(f"--max-n must be in 3..{_MAX_RANDOM_N}, got {max_n}",
                   file=sys.stderr)
             return 2
-        seed = args.seed
+        seed = 0 if args.seed is None else args.seed
         rng = Random(seed)
         reports = []
         for i in range(args.random):
-            g = random_proper_graph(rng, n=rng.randint(3, args.max_n))
+            g = random_proper_graph(rng, n=rng.randint(3, max_n))
             reports.extend((f"graph {i} ", r)
                            for r in checkers.run_suite(g, args.ell))
     failed = any(not r.holds for _, r in reports)

@@ -17,7 +17,6 @@ and the canonical graph is built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 #: Vertex ceiling of every graph, so a huge declared n fails fast instead of
@@ -89,18 +88,6 @@ class EdgeColoredGraph:
                 f"colors={self.num_colors})")
 
 
-@dataclass(frozen=True)
-class ColorPartition:
-    """A proper edge coloring as a partition of the edge set into matchings.
-
-    ``classes[c]`` is the frozenset of (u, v) pairs carrying color c. The
-    classes are disjoint, cover every edge, and each one is a matching;
-    the last point is exactly properness.
-    """
-
-    classes: tuple[frozenset, ...]
-
-
 def build(n: int, edge_list) -> EdgeColoredGraph:
     """Validate and normalize an edge list into an EdgeColoredGraph.
 
@@ -155,19 +142,6 @@ def is_properly_colored(g: EdgeColoredGraph) -> bool:
                      for row in g.neighbor_colors)
         g._cache["proper"] = cached
     return cached
-
-
-def color_partition(g: EdgeColoredGraph) -> ColorPartition:
-    """Partition the edges into their color classes (all matchings).
-
-    Raises ValueError if g is not properly colored.
-    """
-    if not is_properly_colored(g):
-        raise ValueError("graph is not properly colored")
-    classes: list[set] = [set() for _ in range(g.num_colors)]
-    for u, v, c in g.edges:
-        classes[c].add((u, v))
-    return ColorPartition(tuple(frozenset(s) for s in classes))
 
 
 # ---------------------------------------------------------------------------

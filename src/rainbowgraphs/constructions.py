@@ -15,8 +15,6 @@ witnesses are reproducible across runs and implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .colored_graph import MAX_VERTICES, EdgeColoredGraph, build
 
 
@@ -65,34 +63,6 @@ def disjoint_union(gs) -> EdgeColoredGraph:
     return build(offset, edges)
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Shape of a lower-bound witness: `copies` disjoint d_star(ell) blocks
-    plus `pad` isolated vertices."""
-
-    ell: int
-    copies: int
-    pad: int
-
-    def __post_init__(self):
-        if self.ell < 3:
-            raise ValueError("ell must be >= 3")
-        if self.copies < 1:
-            raise ValueError("need at least one block")
-        if self.pad < 0:
-            raise ValueError("padding must be nonnegative")
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"{self.n} vertices exceed the limit {MAX_VERTICES}")
-
-    @property
-    def n(self) -> int:
-        return self.copies * (1 << (self.ell - 1)) + self.pad
-
-    def realize(self) -> EdgeColoredGraph:
-        return disjoint_union([d_star(self.ell)] * self.copies
-                              + [build(self.pad, [])])
-
-
 def lower_bound_graph(n: int, ell: int) -> EdgeColoredGraph:
     """floor(n / 2^(ell-1)) disjoint d_star(ell) blocks padded with
     isolated vertices to exactly n vertices. Requires n >= 2^(ell-1)."""
@@ -102,5 +72,7 @@ def lower_bound_graph(n: int, ell: int) -> EdgeColoredGraph:
     if n < block_size:
         raise ValueError(
             f"need at least {block_size} vertices for one block, got {n}")
-    copies = n // block_size
-    return ConstructionSpec(ell, copies, n - copies * block_size).realize()
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit {MAX_VERTICES}")
+    return disjoint_union([d_star(ell)] * (n // block_size)
+                          + [build(n % block_size, [])])

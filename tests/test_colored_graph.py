@@ -14,11 +14,11 @@ from random import Random
 
 import pytest
 
+import rainbowgraphs
 from rainbowgraphs import colored_graph
 from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
                                          build, canonical_form, canonical_key,
-                                         color_partition, degree,
-                                         is_properly_colored)
+                                         degree, is_properly_colored)
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import _greedy_color, random_proper_graph
 from rainbowgraphs.reference import matching_partitions
@@ -107,11 +107,6 @@ def test_build_normalizes_arbitrary_color_labels():
     assert g.edges == ((0, 1, 0),)
 
 
-def test_color_partition_rejects_improper_coloring():
-    with pytest.raises(ValueError, match="not properly"):
-        color_partition(build(3, [(0, 1, 0), (1, 2, 0)]))
-
-
 def test_empty_graph_is_fine():
     g = build(5, [])
     assert g.m == 0 and g.num_colors == 0
@@ -147,20 +142,10 @@ def test_is_properly_colored_detects_conflicts():
     assert not is_properly_colored(build(3, [(0, 1, 0), (1, 2, 0)]))
 
 
-def test_color_partition_partitions_edges_into_matchings():
-    rng = Random(13)
-    for _ in range(30):
-        g = random_proper_graph(rng)
-        part = color_partition(g)
-        assert len(part.classes) == g.num_colors
-        seen = set()
-        for cls in part.classes:
-            touched = set()
-            for u, v in cls:
-                assert u not in touched and v not in touched
-                touched.update((u, v))
-            seen.update(cls)
-        assert seen == {(u, v) for u, v, _ in g.edges}
+def test_public_names_resolve():
+    names = rainbowgraphs.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(rainbowgraphs, n)] == []
 
 
 def test_graph_equality_and_hash_follow_edge_tuples():

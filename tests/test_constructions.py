@@ -10,8 +10,7 @@ import math
 import pytest
 
 from rainbowgraphs.colored_graph import build, degree, is_properly_colored
-from rainbowgraphs.constructions import (ConstructionSpec, d_star,
-                                         disjoint_union, hypercube,
+from rainbowgraphs.constructions import (d_star, disjoint_union, hypercube,
                                          lower_bound_graph)
 from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
 
@@ -122,26 +121,22 @@ def test_lower_bound_graph_rejects_too_few_vertices():
         lower_bound_graph(15, 5)
 
 
-def test_construction_spec_realize_matches_lower_bound_graph():
-    spec = ConstructionSpec(ell=3, copies=2, pad=1)
-    assert spec.realize().edges == lower_bound_graph(9, 3).edges
-    assert spec.realize().n == 2 * 4 + 1
+def test_lower_bound_graph_matches_padded_union():
     # one build of the shifted blocks equals the union padded afterwards
-    for ell, copies, pad in [(3, 1, 0), (3, 3, 2), (4, 2, 5), (5, 1, 3),
-                             (5, 2, 0), (6, 3, 7)]:
+    for ell, copies, pad in [(3, 1, 0), (3, 2, 1), (3, 3, 2), (4, 2, 5),
+                             (5, 1, 3), (5, 2, 0), (6, 3, 7)]:
         union = disjoint_union([d_star(ell)] * copies)
         padded = build(union.n + pad, union.edges)
-        got = ConstructionSpec(ell, copies, pad).realize()
+        got = lower_bound_graph(union.n + pad, ell)
         assert got == padded and got.num_colors == padded.num_colors
 
 
-def test_construction_spec_validation():
-    with pytest.raises(ValueError):
-        ConstructionSpec(2, 1, 0)
-    with pytest.raises(ValueError):
-        ConstructionSpec(3, 0, 0)
-    with pytest.raises(ValueError):
-        ConstructionSpec(3, 1, -1)
+def test_lower_bound_graph_validation():
+    with pytest.raises(ValueError, match=">= 3"):
+        lower_bound_graph(8, 2)
+    # the vertex limit is checked before any block list is made
     with pytest.raises(ValueError, match="exceed the limit"):
-        ConstructionSpec(3, 10 ** 9, 0)
-    assert ConstructionSpec(3, 1 << 14, 0).n == 1 << 16  # at the limit
+        lower_bound_graph(10 ** 9, 3)
+    with pytest.raises(ValueError, match="exceed the limit"):
+        lower_bound_graph((1 << 16) + 1, 3)
+    assert lower_bound_graph(1 << 16, 3).n == 1 << 16  # at the limit

@@ -233,6 +233,26 @@ def test_cli_check_suite_rejects_flags_it_would_ignore(tmp_path, capsys):
     assert code != 2
 
 
+def test_cli_check_rejects_flags_its_source_would_ignore(tmp_path, capsys):
+    path = tmp_path / "g.cel"
+    path.write_text(write_graph_file(d_star(3)))
+    for argv, flag in ((("--construction", "4", "--seed", "9", "--max-n", "5",
+                         "--ell", "7"), "--seed"),
+                       (("--construction", "4", "--seed", "0"), "--seed"),
+                       (("--construction", "4", "--max-n", "10"), "--max-n"),
+                       (("--construction", "4", "--ell", "4"), "--ell"),
+                       (("--input", str(path), "--ell", "3", "--seed", "4",
+                         "--max-n", "6"), "--seed"),
+                       (("--input", str(path), "--ell", "3", "--max-n", "6"),
+                        "--max-n")):
+        code, out, err = _run(capsys, "check", *argv)
+        assert code == 2 and out == "" and flag in err
+    code, out, _ = _run(capsys, "check", "--random", "2", "--ell", "3",
+                        "--seed", "0", "--max-n", "10")
+    assert code == 0 and out == _run(capsys, "check", "--random", "2",
+                                     "--ell", "3")[1]
+
+
 def test_cli_check_random_prints_seed_and_is_deterministic(capsys):
     code, out1, _ = _run(capsys, "check", "--random", "5", "--ell", "3",
                          "--seed", "7")
