@@ -7,7 +7,16 @@ edge by edge under a color bitmask and hands each full-length walk to a
 leaf callback. A vertex put at the front of the path is never visited,
 which keeps the far end of a fixed-endpoint path off the walk. It works
 on any colored graph, proper or not; properness is only a hypothesis of
-the checker module.
+the checker module. A rainbow P_ell or C_ell needs ell distinct colors,
+so a length above the graph's color count returns at once.
+
+`has_rainbow_path` at ell >= 6 meets in the middle: each path is split
+at a middle vertex m, the longer halves from m are stored by color mask
+and vertex mask, and the shorter halves from m look for a stored half
+disjoint from them in both, so each middle vertex walks about
+Delta^(ell/2) halves where each start walked about Delta^ell paths.
+Below 6, or where a half-table could grow past `HALF_CEILING`, the walk
+from every start runs instead.
 
 Witnesses are canonicalized so each subgraph copy appears exactly once:
 paths are stored with the lexicographically smaller endpoint first, cycles
@@ -26,6 +35,12 @@ from .colored_graph import EdgeColoredGraph
 #: Ceiling on ell: it bounds `_walk`'s recursion depth, one frame per
 #: edge (Python ints do not overflow, and color masks index colors).
 MAX_LEN = 62
+
+#: Largest number of halves `has_rainbow_path` may store for one middle
+#: vertex, as bounded by Delta * (Delta - 1)^(b - 1) for halves of b
+#: edges; above it the walk from every start runs, which on a graph rich
+#: in rainbow paths stops at its first leaf.
+HALF_CEILING = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -173,8 +188,9 @@ def _cycles(g: EdgeColoredGraph, ell: int) -> list:
     # walk ell-1 edges on `above`, which then holds only the neighbors
     # above r, and close back to r with an unused color
     nbr = g.neighbor_colors
-    # a bipartite graph has no odd cycle: no walk of odd ell can close
-    if ell % 2 and _is_bipartite(nbr):
+    # a bipartite graph has no odd cycle: no walk of odd ell can close;
+    # a rainbow C_ell needs ell distinct colors
+    if ell > g.num_colors or ell % 2 and _is_bipartite(nbr):
         return []
     above: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     found = []
@@ -212,13 +228,66 @@ def _stop(*_) -> bool:
 
 
 def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
-    """True iff some rainbow path with exactly ell edges exists."""
+    """True iff some rainbow path with exactly ell edges exists.
+
+    At ell >= 6 every path is split at a middle vertex m into halves of
+    b = ell - ell//2 and ell//2 edges. For each m, the b-edge halves from
+    m are stored as vertex masks (m left out) grouped by color mask; then
+    each (ell//2)-edge half from m stops at the first stored half whose
+    color and vertex masks are both disjoint from its own. Below 6 the
+    split costs more than it saves, and where Delta * (Delta - 1)^(b - 1)
+    exceeds `HALF_CEILING` one table could be huge, so in both cases a
+    walk runs from every start and stops at the first full-length path.
+    """
     _check_args(ell, 1)
     key = ("haspath", ell)
     if key not in g._cache:
-        g._cache[key] = any(_walk(g.adjacency, [s], [], 0, ell, _stop)
-                            for s in range(g.n))
+        g._cache[key] = _has_path(g, ell)
     return g._cache[key]
+
+
+def _vertex_mask(path) -> int:
+    # the vertices after the front one, which is the middle vertex
+    mask = 0
+    for v in path[1:]:
+        mask |= 1 << v
+    return mask
+
+
+def _has_path(g: EdgeColoredGraph, ell: int) -> bool:
+    # a rainbow P_ell needs ell distinct colors
+    if ell > g.num_colors:
+        return False
+    adj = g.adjacency
+    b = ell - ell // 2
+    top = max(map(len, adj))
+    if ell < 6 or top * (top - 1) ** (b - 1) > HALF_CEILING:
+        return any(_walk(adj, [s], [], 0, ell, _stop) for s in range(g.n))
+    for m in range(g.n):
+        halves: dict[int, list[int]] = {}
+
+        def store(path, cols, cmask):
+            halves.setdefault(cmask, []).append(_vertex_mask(path))
+
+        _walk(adj, [m], [], 0, b, store)
+        # stored vertex masks of the halves color-disjoint from cmask,
+        # gathered once per color mask of a short half
+        fits: dict[int, list[int]] = {}
+
+        def join(path, cols, cmask):
+            vms = fits.get(cmask)
+            if vms is None:
+                vms = fits[cmask] = [vm for cm, group in halves.items()
+                                     if not cm & cmask for vm in group]
+            mask = _vertex_mask(path)
+            for vm in vms:
+                if not vm & mask:
+                    return True
+            return False
+
+        if halves and _walk(adj, [m], [], 0, ell // 2, join):
+            return True
+    return False
 
 
 def has_rainbow_path_through(g: EdgeColoredGraph, u: int, v: int, c: int,

@@ -7,16 +7,19 @@ rainbowgraphs.reference before being frozen here.
 
 import hashlib
 import time
+import tracemalloc
 from itertools import combinations, permutations
 from random import Random
 
 import pytest
 
+from rainbowgraphs import rainbow
 from rainbowgraphs.colored_graph import build
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import (rainbow_free_instances, random_colored_graph,
                                   random_proper_graph)
-from rainbowgraphs.rainbow import (MAX_LEN, RainbowWitness, count_per_edge,
+from rainbowgraphs.rainbow import (HALF_CEILING, MAX_LEN, RainbowWitness,
+                                   count_per_edge,
                                    enumerate_rainbow_cycles,
                                    enumerate_rainbow_paths, has_rainbow_path,
                                    has_rainbow_path_through,
@@ -62,6 +65,44 @@ def test_k4_one_factorization_has_no_rainbow_p3():
 def test_rainbow_colored_path_graph_is_found():
     g = build(5, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3)])
     assert has_rainbow_path(g, 4)
+
+
+def test_d_star8_has_no_rainbow_p8_but_a_p7():
+    # the split at a middle vertex: about 1 s on a 2-CPU host, about 10 s
+    # with a walk from every start
+    assert not has_rainbow_path(d_star(8), 8)
+    assert has_rainbow_path(d_star(8), 7)
+
+
+def test_hypercube6_has_a_rainbow_p6():
+    # a True verdict of the split: Q_6 has 6 colors and degree 6
+    assert has_rainbow_path(hypercube(6), 6)
+
+
+def test_large_cube_path_test_keeps_no_half_table():
+    # 12 * 11^5 halves of 6 edges could meet at one vertex of Q_12, past
+    # HALF_CEILING, so the walk from the first start runs and stops at its
+    # first leaf; the split would hold about 200 MB
+    g = hypercube(12)
+    top = max(map(len, g.adjacency))
+    assert top * (top - 1) ** 5 > HALF_CEILING
+    tracemalloc.start()
+    try:
+        assert has_rainbow_path(g, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def test_length_above_color_count_returns_before_any_walk(monkeypatch):
+    # a rainbow P_ell or C_ell needs ell distinct colors: d_star(ell) has ell
+    def walk(*_):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(rainbow, "_walk", walk)
+    assert not has_rainbow_path(d_star(7), 8)
+    assert enumerate_rainbow_cycles(d_star(5), 6) == []
 
 
 def test_d_star3_has_four_rainbow_triangles():
@@ -247,6 +288,64 @@ def test_oracle_equivalence_on_mixed_corpus():
                                 and banned.isdisjoint(w.colors)]
                     got = rainbow_paths_between(g, x, y, ell, forbidden=banned)
                     assert _witness_set(got) == _witness_set(expected)
+
+
+def _split_case(rng, proper):
+    """Graph on 7..9 vertices with colors from a palette of 4..9, each
+    edge a random color, or one free at both ends when `proper`."""
+    n = rng.randint(7, 9)
+    palette = rng.randint(4, 9)
+    p = rng.uniform(0.3, 0.6)
+    used = [set() for _ in range(n)]
+    edges = []
+    for u, v in combinations(range(n), 2):
+        free = [c for c in range(palette)
+                if not proper or c not in used[u] | used[v]]
+        if free and rng.random() < p:
+            c = rng.choice(free)
+            used[u].add(c)
+            used[v].add(c)
+            edges.append((u, v, c))
+    return build(n, edges)
+
+
+def test_split_path_test_matches_brute_force():
+    # at ell 6 and 7 and degree <= 8 has_rainbow_path joins two halves at
+    # a middle vertex whenever the graph has ell or more colors
+    rng = Random(52)
+    outcomes = set()
+    for i in range(24):
+        g = _split_case(rng, proper=i % 2 == 0)
+        for ell in (6, 7):
+            got = has_rainbow_path(g, ell)
+            assert got == _has_rainbow_path_brute(g.n, g.neighbor_colors, ell)
+            if g.num_colors >= ell:
+                outcomes.add((i % 2 == 0, g.num_colors > ell, got))
+    # both verdicts, proper and improper, with k = ell and k > ell colors
+    assert len(outcomes) == 8
+
+
+def test_split_path_test_on_subsets_and_relabelings_of_d_star6():
+    rng = Random(59)
+    base = d_star(6)
+    verdicts = set()
+    for _ in range(30):
+        vperm = list(range(base.n))
+        cperm = list(range(base.num_colors))
+        rng.shuffle(vperm)
+        rng.shuffle(cperm)
+        edges = [(vperm[u], vperm[v], cperm[c]) for u, v, c in base.edges
+                 if rng.random() < 0.9]
+        if rng.random() < 0.5:
+            # a non-edge in any color may open a rainbow P_6
+            u, v = rng.sample(range(base.n), 2)
+            if all({u, v} != {a, b} for a, b, _ in edges):
+                edges.append((u, v, rng.randrange(6)))
+        g = build(base.n, edges)
+        got = has_rainbow_path(g, 6)
+        assert got == bool(enumerate_rainbow_paths(g, 6))
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def _proper_extensions(g):
