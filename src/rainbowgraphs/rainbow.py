@@ -21,14 +21,14 @@ from every start runs instead.
 Witnesses are canonicalized so each subgraph copy appears exactly once:
 paths are stored with the lexicographically smaller endpoint first, cycles
 with their minimal vertex first followed by the lexicographically smaller
-of the two directions. Results are sorted before return, so output is
-deterministic. Enumeration runs in the caller's thread; the `threads`
-argument is validated and otherwise does not change the work.
+of the two directions. Each witness is built once, in the walk's leaf, and
+each list is sorted before return, so output is deterministic. Enumeration
+runs in the caller's thread; `threads` is validated and changes nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .colored_graph import EdgeColoredGraph
 
@@ -43,9 +43,8 @@ MAX_LEN = 62
 HALF_CEILING = 1 << 18
 
 
-@dataclass(frozen=True)
-class RainbowWitness:
-    """A concrete rainbow path or cycle in a host graph.
+class RainbowWitness(NamedTuple):
+    """A concrete rainbow path or cycle in a host graph, as a sortable tuple.
 
     For a path, colors[i] is the color of edge (vertices[i], vertices[i+1])
     and len(colors) == len(vertices) - 1. For a cycle, colors[i] is the
@@ -56,13 +55,6 @@ class RainbowWitness:
     kind: str
     vertices: tuple[int, ...]
     colors: tuple[int, ...]
-
-    def edge_set(self) -> frozenset:
-        vs = self.vertices
-        pairs = [tuple(sorted((vs[i], vs[i + 1]))) for i in range(len(vs) - 1)]
-        if self.kind == "cycle":
-            pairs.append(tuple(sorted((vs[-1], vs[0]))))
-        return frozenset(pairs)
 
 
 def _check_args(ell: int, low: int, threads: int = 1) -> None:
@@ -154,16 +146,18 @@ def enumerate_rainbow_paths(g: EdgeColoredGraph, ell: int,
                             threads: int = 1) -> list[RainbowWitness]:
     """All rainbow paths with exactly ell edges, one witness per copy."""
     _check_args(ell, 1, threads)
+    if ell > g.num_colors:
+        return []
     found = []
 
     def leaf(path, cols, cmask):
         if path[-1] > path[0]:
-            found.append((tuple(path), tuple(cols)))
+            found.append(RainbowWitness("path", tuple(path), tuple(cols)))
 
     for s in range(g.n):
         _walk(g.adjacency, [s], [], 0, ell, leaf)
     found.sort()
-    return [RainbowWitness("path", vs, cs) for vs, cs in found]
+    return found
 
 
 def _is_bipartite(nbr) -> bool:
@@ -199,7 +193,7 @@ def _cycles(g: EdgeColoredGraph, ell: int) -> list:
         if path[1] < path[-1]:
             c = nbr[path[0]].get(path[-1])
             if c is not None and not cmask >> c & 1:
-                found.append((tuple(path), (*cols, c)))
+                found.append(RainbowWitness("cycle", tuple(path), (*cols, c)))
 
     for r in reversed(range(g.n)):
         _walk(above, [r], [], 0, ell - 1, leaf)
@@ -213,14 +207,14 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph, ell: int,
                              threads: int = 1) -> list[RainbowWitness]:
     """All rainbow cycles with exactly ell edges, one witness per copy.
 
-    Results are cached on the graph (immutable), so repeated checker calls
-    share one enumeration.
+    The witnesses are cached on the graph (immutable), so repeated checker
+    calls share one enumeration; each call returns a new list of them.
     """
     _check_args(ell, 3, threads)
     key = ("cycles", ell)
     if key not in g._cache:
         g._cache[key] = _cycles(g, ell)
-    return [RainbowWitness("cycle", vs, cs) for vs, cs in g._cache[key]]
+    return list(g._cache[key])
 
 
 def _stop(*_) -> bool:
@@ -313,12 +307,14 @@ def has_rainbow_path_through(g: EdgeColoredGraph, u: int, v: int, c: int,
 
 def count_per_edge(g: EdgeColoredGraph, ell: int) -> dict[tuple[int, int], int]:
     """Map each edge (u, v) of g to f(e), the number of rainbow C_ell
-    witnesses containing it. Every edge appears, with 0 when absent from
-    all cycles."""
+    witnesses containing it: consecutive vertex pairs plus the closing one.
+    Every edge appears, with 0 when absent from all cycles."""
     counts = {(u, v): 0 for u, v, _ in g.edges}
-    for w in enumerate_rainbow_cycles(g, ell):
-        for pair in w.edge_set():
-            counts[pair] += 1
+    for _, vs, _ in enumerate_rainbow_cycles(g, ell):
+        a = vs[-1]
+        for b in vs:
+            counts[(a, b) if a < b else (b, a)] += 1
+            a = b
     return counts
 
 
@@ -335,17 +331,20 @@ def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
     # to y with an unused color; forbidden colors start out used
     banned = frozenset(forbidden)
     cmask = sum(1 << c for c in range(g.num_colors) if c in banned)
+    if ell > g.num_colors - cmask.bit_count():
+        return []
     back = g.neighbor_colors[y]
     found = []
 
     def leaf(path, cols, cmask):
         c = back.get(path[-1])
         if c is not None and not cmask >> c & 1:
-            found.append(canonical_path((*path[1:], y), (*cols, c)))
+            found.append(RainbowWitness(
+                "path", *canonical_path((*path[1:], y), (*cols, c))))
 
     _walk(g.adjacency, [y, x], [], cmask, ell - 1, leaf)
     found.sort()
-    return [RainbowWitness("path", vs, cs) for vs, cs in found]
+    return found
 
 
 def vertices_on_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> set[int]:

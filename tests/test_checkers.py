@@ -14,7 +14,7 @@ from rainbowgraphs.checkers import (check_avg_degree_on_v_prime,
                                     check_p5_edge_bound, check_p5_max_degree,
                                     run_suite, verify_construction)
 from rainbowgraphs.colored_graph import build, canonical_key, degree
-from rainbowgraphs.constructions import d_star
+from rainbowgraphs.constructions import d_star, lower_bound_graph
 from rainbowgraphs.corpus import rainbow_free_instances, random_proper_graph
 from rainbowgraphs.rainbow import count_per_edge
 
@@ -228,6 +228,28 @@ def test_run_suite_order_and_length():
 def test_all_applicable_checkers_hold_on_constructions():
     for ell in (3, 4, 5, 6):
         assert all(r.holds for r in run_suite(d_star(ell), ell))
+
+
+def _verdicts(g, ell):
+    return [(r.check_name, r.holds, r.skipped, r.bound, r.observed_max)
+            for r in run_suite(g, ell)]
+
+
+def test_run_suite_verdicts_survive_relabeling_symmetric_inputs():
+    rng = Random(71)
+    moved = 0
+    for ell in (3, 4, 5, 6):
+        for g in (d_star(ell), lower_bound_graph(2 ** (ell - 1) + 3, ell)):
+            vperm = list(range(g.n))
+            cperm = list(range(g.num_colors))
+            rng.shuffle(vperm)
+            rng.shuffle(cperm)
+            h = build(g.n, [(vperm[u], vperm[v], cperm[c])
+                            for u, v, c in g.edges])
+            moved += h.edges != g.edges
+            assert _verdicts(h, ell) == _verdicts(g, ell)
+    # d_star(3) may map onto itself; the others must move
+    assert moved >= 7
 
 
 def test_skipped_reports_always_carry_reason_and_hold():

@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 from rainbowgraphs import rainbow
-from rainbowgraphs.colored_graph import build
+from rainbowgraphs.colored_graph import build, is_properly_colored
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import (rainbow_free_instances, random_colored_graph,
                                   random_proper_graph)
@@ -31,6 +31,15 @@ from rainbowgraphs.reference import (_has_rainbow_path_brute,
 
 def _witness_set(ws):
     return {(w.kind, w.vertices, w.colors) for w in ws}
+
+
+def _edge_set(w):
+    """The edges of a witness as (smaller, larger) vertex pairs."""
+    vs = w.vertices
+    pairs = list(zip(vs, vs[1:]))
+    if w.kind == "cycle":
+        pairs.append((vs[-1], vs[0]))
+    return frozenset((min(p), max(p)) for p in pairs)
 
 
 # ------------------------------------------------------------- examples
@@ -103,6 +112,15 @@ def test_length_above_color_count_returns_before_any_walk(monkeypatch):
     monkeypatch.setattr(rainbow, "_walk", walk)
     assert not has_rainbow_path(d_star(7), 8)
     assert enumerate_rainbow_cycles(d_star(5), 6) == []
+    assert enumerate_rainbow_paths(d_star(7), 8) == []
+    g = d_star(5)
+    assert rainbow_paths_between(g, 0, 15, 6) == []
+    # with one of the five colors forbidden, four remain for five edges
+    assert rainbow_paths_between(g, 0, 15, 5, forbidden={2}) == []
+    monkeypatch.undo()
+    # a color the graph does not use takes none away
+    diag = g.neighbor_colors[0][15]
+    assert len(rainbow_paths_between(g, 0, 15, 4, forbidden={diag, 99})) == 24
 
 
 def test_d_star3_has_four_rainbow_triangles():
@@ -130,6 +148,38 @@ def test_count_per_edge_zero_for_edges_off_cycles():
     counts = count_per_edge(g, 3)
     assert counts[(2, 3)] == 0
     assert counts[(0, 1)] == 1
+
+
+def test_count_per_edge_matches_naive_tally():
+    # improper colorings included; every cycle edge counts, the closing
+    # pair (vertices[-1], vertices[0]) too
+    rng = Random(61)
+    improper = cycles = 0
+    for _ in range(60):
+        g = random_colored_graph(rng, max_n=7)
+        improper += not is_properly_colored(g)
+        for ell in (3, 4, 5):
+            expected = {(u, v): 0 for u, v, _ in g.edges}
+            for w in naive_rainbow_cycles(g, ell):
+                cycles += 1
+                for pair in _edge_set(w):
+                    expected[pair] += 1
+            assert count_per_edge(g, ell) == expected
+    assert improper and cycles
+
+
+def test_cycle_cache_survives_edits_to_a_returned_list():
+    fresh = d_star(4)
+    cycles = enumerate_rainbow_cycles(fresh, 4)
+    counts = count_per_edge(fresh, 4)
+    on_cycles = vertices_on_rainbow_cycles(fresh, 4)
+    g = d_star(4)
+    got = enumerate_rainbow_cycles(g, 4)
+    got.clear()
+    got.append(cycles[0])
+    assert enumerate_rainbow_cycles(g, 4) == cycles
+    assert count_per_edge(g, 4) == counts
+    assert vertices_on_rainbow_cycles(g, 4) == on_cycles
 
 
 def test_paths_between_adjacent_vertices_length_one():
@@ -178,7 +228,7 @@ def test_witness_canonical_orientation_and_dedup():
         g = random_colored_graph(rng)
         for ell in (1, 2, 3):
             paths = enumerate_rainbow_paths(g, ell)
-            assert len({frozenset(w.edge_set()) for w in paths}) == len(paths)
+            assert len({_edge_set(w) for w in paths}) == len(paths)
             for w in paths:
                 assert w.kind == "path"
                 assert w.vertices[0] < w.vertices[-1]
@@ -186,7 +236,7 @@ def test_witness_canonical_orientation_and_dedup():
                 assert verify_witness(g, w)
         for ell in (3, 4):
             cycles = enumerate_rainbow_cycles(g, ell)
-            assert len({frozenset(w.edge_set()) for w in cycles}) == len(cycles)
+            assert len({_edge_set(w) for w in cycles}) == len(cycles)
             for w in cycles:
                 assert w.kind == "cycle"
                 assert w.vertices[0] == min(w.vertices)
