@@ -7,8 +7,8 @@ edge by edge under a color bitmask and hands each full-length walk to a
 leaf callback. A vertex put at the front of the path is never visited,
 which keeps the far end of a fixed-endpoint path off the walk. It works
 on any colored graph, proper or not; properness is only a hypothesis of
-the checker module. A rainbow P_ell or C_ell needs ell distinct colors,
-so a length above the graph's color count returns at once.
+the checker module. A rainbow P_ell needs ell colors and ell+1 vertices,
+a C_ell ell of each, so a length above either count returns at once.
 
 `has_rainbow_path` at ell >= 6 meets in the middle: each path is split
 at a middle vertex m, the longer halves from m are stored by color mask
@@ -18,12 +18,12 @@ Delta^(ell/2) halves where each start walked about Delta^ell paths.
 Below 6, or where a half-table could grow past `HALF_CEILING`, the walk
 from every start runs instead.
 
-Witnesses are canonicalized so each subgraph copy appears exactly once:
-paths are stored with the lexicographically smaller endpoint first, cycles
-with their minimal vertex first followed by the lexicographically smaller
-of the two directions. Each witness is built once, in the walk's leaf, and
-each list is sorted before return, so output is deterministic. Enumeration
-runs in the caller's thread; `threads` is validated and changes nothing.
+Each subgraph copy is stored once, in the orientation the walks produce:
+a path starts at its smaller endpoint; a cycle starts at its minimal
+vertex and goes next to the smaller of its two neighbors. Each witness
+is built once, in the walk's leaf, and each list is sorted before
+return, so output is deterministic. Enumeration runs in the caller's
+thread; `threads` is validated and changes nothing.
 """
 
 from __future__ import annotations
@@ -68,35 +68,9 @@ def _check_args(ell: int, low: int, threads: int = 1) -> None:
             "walk's recursion depth")
 
 
-def canonical_cycle(vertices, colors) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Rotate/reflect a cycle sequence to canonical orientation."""
-    k = len(vertices)
-    best = None
-    for start in range(k):
-        for step in (1, -1):
-            vs = tuple(vertices[(start + step * i) % k] for i in range(k))
-            if step == 1:
-                cs = tuple(colors[(start + i) % k] for i in range(k))
-            else:
-                cs = tuple(colors[(start - 1 - i) % k] for i in range(k))
-            if best is None or (vs, cs) < best:
-                best = (vs, cs)
-    return best
-
-
-def canonical_path(vertices, colors) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orient a path sequence so the smaller endpoint comes first."""
-    vs = tuple(vertices)
-    cs = tuple(colors)
-    if vs[0] > vs[-1]:
-        vs = vs[::-1]
-        cs = cs[::-1]
-    return vs, cs
-
-
 def verify_witness(g: EdgeColoredGraph, w: RainbowWitness) -> bool:
     """Re-check a witness against its host graph: adjacency, stated colors,
-    rainbowness, simplicity, and canonical orientation."""
+    rainbowness, simplicity, and the orientation rule of the module."""
     vs, cs = w.vertices, w.colors
     if len(set(vs)) != len(vs):
         return False
@@ -104,17 +78,14 @@ def verify_witness(g: EdgeColoredGraph, w: RainbowWitness) -> bool:
         return False
     nbr = g.neighbor_colors
     if w.kind == "path":
-        if len(vs) < 2 or len(cs) != len(vs) - 1:
+        if len(vs) < 2 or len(cs) != len(vs) - 1 or vs[0] > vs[-1]:
             return False
         pairs = list(zip(vs, vs[1:], cs))
-        if (vs, cs) != canonical_path(vs, cs):
-            return False
     elif w.kind == "cycle":
-        if len(vs) < 3 or len(cs) != len(vs):
+        if (len(vs) < 3 or len(cs) != len(vs)
+                or vs[0] != min(vs) or vs[1] > vs[-1]):
             return False
         pairs = [(vs[i], vs[(i + 1) % len(vs)], cs[i]) for i in range(len(vs))]
-        if (vs, cs) != canonical_cycle(vs, cs):
-            return False
     else:
         return False
     if len(set(cs)) != len(cs):
@@ -146,7 +117,7 @@ def enumerate_rainbow_paths(g: EdgeColoredGraph, ell: int,
                             threads: int = 1) -> list[RainbowWitness]:
     """All rainbow paths with exactly ell edges, one witness per copy."""
     _check_args(ell, 1, threads)
-    if ell > g.num_colors:
+    if ell > min(g.num_colors, g.n - 1):
         return []
     found = []
 
@@ -183,8 +154,8 @@ def _cycles(g: EdgeColoredGraph, ell: int) -> list:
     # above r, and close back to r with an unused color
     nbr = g.neighbor_colors
     # a bipartite graph has no odd cycle: no walk of odd ell can close;
-    # a rainbow C_ell needs ell distinct colors
-    if ell > g.num_colors or ell % 2 and _is_bipartite(nbr):
+    # a rainbow C_ell needs ell distinct colors and ell vertices
+    if ell > min(g.num_colors, g.n) or ell % 2 and _is_bipartite(nbr):
         return []
     above: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     found = []
@@ -249,8 +220,8 @@ def _vertex_mask(path) -> int:
 
 
 def _has_path(g: EdgeColoredGraph, ell: int) -> bool:
-    # a rainbow P_ell needs ell distinct colors
-    if ell > g.num_colors:
+    # a rainbow P_ell needs ell distinct colors and ell + 1 vertices
+    if ell > min(g.num_colors, g.n - 1):
         return False
     adj = g.adjacency
     b = ell - ell // 2
@@ -295,6 +266,9 @@ def has_rainbow_path_through(g: EdgeColoredGraph, u: int, v: int, c: int,
     decides whether g + (u, v, c) has a rainbow P_ell at all.
     """
     _check_args(ell, 1)
+    # the child's colors: those of g, plus c if it is new
+    if ell > min(g.num_colors + (c >= g.num_colors), g.n - 1):
+        return False
     adj = g.adjacency
     for a in range(ell):
         def leaf(path, cols, cmask, rest=ell - 1 - a):
@@ -308,30 +282,35 @@ def has_rainbow_path_through(g: EdgeColoredGraph, u: int, v: int, c: int,
 def count_per_edge(g: EdgeColoredGraph, ell: int) -> dict[tuple[int, int], int]:
     """Map each edge (u, v) of g to f(e), the number of rainbow C_ell
     witnesses containing it: consecutive vertex pairs plus the closing one.
-    Every edge appears, with 0 when absent from all cycles."""
-    counts = {(u, v): 0 for u, v, _ in g.edges}
-    for _, vs, _ in enumerate_rainbow_cycles(g, ell):
-        a = vs[-1]
-        for b in vs:
-            counts[(a, b) if a < b else (b, a)] += 1
-            a = b
-    return counts
+    Every edge appears, with 0 when absent from all cycles. Cached on the
+    graph like the cycles; each call returns a new dict."""
+    key = ("per_edge", ell)
+    if key not in g._cache:
+        counts = {(u, v): 0 for u, v, _ in g.edges}
+        for _, vs, _ in enumerate_rainbow_cycles(g, ell):
+            a = vs[-1]
+            for b in vs:
+                counts[(a, b) if a < b else (b, a)] += 1
+                a = b
+        g._cache[key] = counts
+    return dict(g._cache[key])
 
 
 def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
                           forbidden=frozenset()) -> list[RainbowWitness]:
-    """Rainbow paths from x to y with exactly ell edges avoiding all colors
-    in `forbidden`."""
+    """Rainbow paths between x and y with exactly ell edges avoiding all
+    colors in `forbidden`, each from the smaller endpoint to the larger."""
     _check_args(ell, 1)
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError("endpoint out of range")
     if x == y:
         raise ValueError("endpoints must differ")
-    # walk ell-1 edges from [y, x], so y stays off the walk, then close
-    # to y with an unused color; forbidden colors start out used
+    # with x < y, walk ell-1 edges from [y, x], so y stays off the walk,
+    # then close to y with an unused color; forbidden colors start used
+    x, y = min(x, y), max(x, y)
     banned = frozenset(forbidden)
     cmask = sum(1 << c for c in range(g.num_colors) if c in banned)
-    if ell > g.num_colors - cmask.bit_count():
+    if ell > min(g.num_colors - cmask.bit_count(), g.n - 1):
         return []
     back = g.neighbor_colors[y]
     found = []
@@ -339,8 +318,7 @@ def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
     def leaf(path, cols, cmask):
         c = back.get(path[-1])
         if c is not None and not cmask >> c & 1:
-            found.append(RainbowWitness(
-                "path", *canonical_path((*path[1:], y), (*cols, c))))
+            found.append(RainbowWitness("path", (*path[1:], y), (*cols, c)))
 
     _walk(g.adjacency, [y, x], [], cmask, ell - 1, leaf)
     found.sort()

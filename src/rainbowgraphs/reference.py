@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute force and shares no traversal code
 with the optimized modules: rainbow subgraphs are found by filtering all
-vertex sequences, and the reference search enumerates every labeled graph
-together with every partition of its edges into matchings. These oracles
-define correctness for the fast paths; tests assert exact agreement.
-Feasible only at very small n (sequences: n <= 7; search: n <= 5).
+vertex sequences, the orientation of each copy included, and the
+reference search enumerates every labeled graph together with every
+partition of its edges into matchings. These oracles define correctness
+for the fast paths; tests assert exact agreement. Feasible only at very
+small n (sequences: n <= 7; search: n <= 5).
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .colored_graph import EdgeColoredGraph
-from .rainbow import RainbowWitness, canonical_cycle, canonical_path
+from .rainbow import RainbowWitness
 
 
 def naive_rainbow_paths(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
     """All rainbow paths with ell edges, by filtering vertex sequences."""
     nbr = g.neighbor_colors
-    out = set()
+    out = []
     for seq in permutations(range(g.n), ell + 1):
+        if seq[0] > seq[-1]:
+            continue
         cols = []
         for a, b in zip(seq, seq[1:]):
             c = nbr[a].get(b)
@@ -29,15 +32,17 @@ def naive_rainbow_paths(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
             cols.append(c)
         else:
             if len(set(cols)) == ell:
-                out.add(canonical_path(seq, cols))
-    return [RainbowWitness("path", vs, cs) for vs, cs in sorted(out)]
+                out.append(RainbowWitness("path", seq, tuple(cols)))
+    return sorted(out)
 
 
 def naive_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
     """All rainbow cycles with ell edges, by filtering vertex sequences."""
     nbr = g.neighbor_colors
-    out = set()
+    out = []
     for seq in permutations(range(g.n), ell):
+        if seq[0] != min(seq) or seq[1] > seq[-1]:
+            continue
         cols = []
         for i in range(ell):
             a, b = seq[i], seq[(i + 1) % ell]
@@ -47,8 +52,8 @@ def naive_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
             cols.append(c)
         else:
             if len(set(cols)) == ell:
-                out.add(canonical_cycle(seq, cols))
-    return [RainbowWitness("cycle", vs, cs) for vs, cs in sorted(out)]
+                out.append(RainbowWitness("cycle", seq, tuple(cols)))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

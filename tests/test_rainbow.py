@@ -8,7 +8,7 @@ rainbowgraphs.reference before being frozen here.
 import hashlib
 import time
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from random import Random
 
 import pytest
@@ -117,6 +117,17 @@ def test_length_above_color_count_returns_before_any_walk(monkeypatch):
     assert rainbow_paths_between(g, 0, 15, 6) == []
     # with one of the five colors forbidden, four remain for five edges
     assert rainbow_paths_between(g, 0, 15, 5, forbidden={2}) == []
+    # a rainbow P_ell needs ell + 1 vertices and a C_ell ell: K_9 with 36
+    # distinct colors has colors to spare but too few vertices
+    k9 = build(9, [(u, v, i) for i, (u, v) in
+                   enumerate(combinations(range(9), 2))])
+    assert not has_rainbow_path(k9, 9)
+    assert enumerate_rainbow_paths(k9, 9) == []
+    assert enumerate_rainbow_cycles(k9, 10) == []
+    assert rainbow_paths_between(k9, 0, 8, 9) == []
+    gap = build(9, [e for e in k9.edges if e[:2] != (0, 8)])
+    assert not has_rainbow_path_through(gap, 0, 8, gap.num_colors, 9)
+    assert not has_rainbow_path_through(gap, 8, 0, 0, 9)
     monkeypatch.undo()
     # a color the graph does not use takes none away
     diag = g.neighbor_colors[0][15]
@@ -168,7 +179,7 @@ def test_count_per_edge_matches_naive_tally():
     assert improper and cycles
 
 
-def test_cycle_cache_survives_edits_to_a_returned_list():
+def test_cycle_cache_survives_edits_to_a_returned_list(monkeypatch):
     fresh = d_star(4)
     cycles = enumerate_rainbow_cycles(fresh, 4)
     counts = count_per_edge(fresh, 4)
@@ -178,7 +189,17 @@ def test_cycle_cache_survives_edits_to_a_returned_list():
     got.clear()
     got.append(cycles[0])
     assert enumerate_rainbow_cycles(g, 4) == cycles
+    per_edge = count_per_edge(g, 4)
+    assert per_edge == counts
+    per_edge.clear()
+    per_edge[(0, 1)] = -1
+    # the second count reads the cached table, not the cycles
+    def enumerate_again(*_):
+        raise AssertionError("recounted")
+
+    monkeypatch.setattr(rainbow, "enumerate_rainbow_cycles", enumerate_again)
     assert count_per_edge(g, 4) == counts
+    monkeypatch.undo()
     assert vertices_on_rainbow_cycles(g, 4) == on_cycles
 
 
@@ -243,6 +264,45 @@ def test_witness_canonical_orientation_and_dedup():
                 assert w.vertices[1] < w.vertices[-1]
                 assert len(w.colors) == ell and len(w.vertices) == ell
                 assert verify_witness(g, w)
+
+
+def _least_orientation(w):
+    """The lexicographically least (vertices, colors) over every way of
+    reading the same copy: both directions of a path; every rotation and
+    both directions of a cycle."""
+    vs, cs = w.vertices, w.colors
+    if w.kind == "path":
+        return min((vs, cs), (vs[::-1], cs[::-1]))
+    k = len(vs)
+    readings = []
+    for s in range(k):
+        readings.append((vs[s:] + vs[:s], cs[s:] + cs[:s]))
+        # backwards from vs[s]: edge (vs[s-i], vs[s-i-1]) has cs[s-i-1]
+        readings.append((tuple(vs[(s - i) % k] for i in range(k)),
+                         tuple(cs[(s - i - 1) % k] for i in range(k))))
+    return min(readings)
+
+
+def test_witnesses_are_the_least_orientation_of_their_copy():
+    # the stored orientation rule is the lexicographic minimum over all
+    # readings of a copy, checked by brute force outside the library
+    rng = Random(71)
+    improper = seen = 0
+    for _ in range(40):
+        g = random_colored_graph(rng, max_n=7)
+        improper += not is_properly_colored(g)
+        ws = [w for ell in (1, 2, 3, 4) for w in enumerate_rainbow_paths(g, ell)]
+        ws += [w for ell in (3, 4, 5) for w in enumerate_rainbow_cycles(g, ell)]
+        banned = frozenset({g.num_colors // 2})
+        for x, y in combinations(range(g.n), 2):
+            for ell, f in product((1, 2, 3), (frozenset(), banned)):
+                between = rainbow_paths_between(g, x, y, ell, f)
+                assert rainbow_paths_between(g, y, x, ell, f) == between
+                ws += between
+        for w in ws:
+            assert _least_orientation(w) == (w.vertices, w.colors)
+        seen += len(ws)
+    assert improper and seen
 
 
 def test_handshake_identities():
@@ -488,6 +548,16 @@ def test_verify_witness_rejects_tampered_certificates():
     off_graph = RainbowWitness(w.kind, tuple(v + 4 for v in w.vertices),
                                w.colors)
     assert not verify_witness(g, off_graph)
+    # the same copy in another orientation is a different, rejected witness
+    vs, cs = w.vertices, w.colors
+    rotated = RainbowWitness("cycle", vs[1:] + vs[:1], cs[1:] + cs[:1])
+    reflected = RainbowWitness("cycle", vs[:1] + vs[:0:-1], cs[::-1])
+    assert not verify_witness(g, rotated)
+    assert not verify_witness(g, reflected)
+    p = enumerate_rainbow_paths(g, 2)[0]
+    assert verify_witness(g, p)
+    reversed_path = RainbowWitness("path", p.vertices[::-1], p.colors[::-1])
+    assert not verify_witness(g, reversed_path)
 
 
 # --------------------------------------------------------------- tables
@@ -567,6 +637,10 @@ def test_length_parameter_validation():
         enumerate_rainbow_paths(g, 0)
     with pytest.raises(ValueError):
         enumerate_rainbow_cycles(g, 2)
+    # a rejected length leaves no per-edge table behind
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            count_per_edge(g, 2)
     # MAX_LEN bounds the walk's recursion depth, not a bitmask
     for f in (enumerate_rainbow_paths, enumerate_rainbow_cycles,
               has_rainbow_path):
