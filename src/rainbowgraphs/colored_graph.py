@@ -11,8 +11,9 @@ combined with some color bijection maps one onto the other. The
 canonicalizer builds one flat code, walking vertex orderings within a
 refined partition on an explicit stack and following only the least rows
 at each position; it starts with the isolated vertices placed in order.
-The key holding that code is the one record of the walk a graph caches,
-and the canonical graph is built from it.
+A graph caches two records of the walk: the key holding that code, from
+which the canonical graph is built, and the automorphism generators its
+tied leaves give, in the canonical graph's labels.
 """
 
 from __future__ import annotations
@@ -150,27 +151,39 @@ def is_properly_colored(g: EdgeColoredGraph) -> bool:
 
 def _refined_ranks(g: EdgeColoredGraph) -> list[int]:
     """Iterated refinement of vertex classes, invariant under vertex and
-    color permutations. Color identity enters only through class sizes."""
+    color permutations. Color identity enters only through class sizes.
+    A neighbor of rank r across a class of size s counts as r * (m+1) + s,
+    which sorts as the pair (r, s) does."""
     n = g.n
     nbr = g.neighbor_colors
+    span = g.m + 1
     class_size = [0] * g.num_colors
     for _, _, c in g.edges:
         class_size[c] += 1
     rank = [0] * n
     distinct = 1
     while True:
-        sig = [(rank[v], tuple(sorted((rank[u], class_size[c])
-                                      for u, c in nbr[v].items())))
+        sig = [(rank[v], tuple(sorted([rank[u] * span + class_size[c]
+                                       for u, c in nbr[v].items()])))
                for v in range(n)]
         order = {s: i for i, s in enumerate(sorted(set(sig)))}
         rank = [order[s] for s in sig]
-        if len(order) == distinct:
+        # a discrete partition refines to itself
+        if len(order) == distinct or len(order) == n:
             return rank
         distinct = len(order)
 
 
-def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
-    """Minimal flat edge-matrix code over all allowed vertex orderings.
+def _find(orbit: list[int], x: int) -> int:
+    # union-find root, halving the path on the way
+    while orbit[x] != x:
+        orbit[x] = x = orbit[orbit[x]]
+    return x
+
+
+def _canonical_code(g: EdgeColoredGraph):
+    """Minimal flat edge-matrix code over all allowed vertex orderings,
+    and automorphism generators of g in the code's labels.
 
     Row i, the i cells from index i*(i-1)/2 on, encodes the adjacency of
     the i-th placed vertex to the earlier ones: 0 for a non-edge, else
@@ -190,10 +203,21 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
     the only ones that can share a neighbor -> color map in a proper
     coloring, have the least refinement signature, so they fill the first
     cell with all-zero rows; the walk starts with them placed in order.
+    The colors at one vertex are distinct, so a row numbers its unseen
+    colors with a counter, and only a pushed prefix gets its slot dict.
+
+    Two leaves with one code give an automorphism, best_order[j] ->
+    order[j], with the color bijection its edges induce. A tie keeps it
+    only if it joins two vertex orbits of a union-find that starts with
+    the isolated vertices joined (they are never moved, and all of them
+    are interchangeable), so at most n - 1 are kept; once the orbits are
+    as coarse as the cells, no tie can join two. The kept maps are
+    conjugated into the code's labels, where vertex best_order[j] is j.
+    Returns (code, generators).
     """
     n = g.n
     if n == 0:
-        return ()
+        return (), ()
     rank = _refined_ranks(g)
     nbr = g.neighbor_colors
     cells: list[list[int]] = [[] for _ in range(max(rank) + 1)]
@@ -203,7 +227,14 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
     cell_at = [cells[r] for r in sorted(rank)]
     iso = tuple(v for v in range(n) if not nbr[v])
 
+    orbit = list(range(n))
+    for v in iso[1:]:
+        orbit[v] = iso[0]
+    orbits = n - max(len(iso) - 1, 0)
+    autos: list[dict[int, int]] = []
+
     best: list | None = None
+    best_order: tuple[int, ...] = iso
     rows: list = [(0,) * i for i in range(len(iso))]
     stack: list = [(iso, {})]
     while stack:
@@ -212,33 +243,67 @@ def _canonical_code(g: EdgeColoredGraph) -> tuple[int, ...]:
         del rows[i:]
         if i == n:
             if best is None:
-                best = rows[:]
+                best, best_order = rows[:], order
+            elif orbits > len(cells):
+                joined = orbits
+                for x, y in zip(best_order, order):
+                    x, y = _find(orbit, x), _find(orbit, y)
+                    if x != y:
+                        orbit[x] = y
+                        orbits -= 1
+                if orbits < joined:
+                    autos.append(dict(zip(best_order, order)))
             continue
         placed = set(order)
+        fresh = len(slot)
         children = []
         for v in cell_at[i]:
             if v in placed:
                 continue
             vn = nbr[v]
-            vslot = slot
+            nxt = fresh
+            row = []
             for u in order:
                 c = vn.get(u)
-                if c is not None and c not in vslot:
-                    vslot = {**vslot, c: len(vslot)}
-            row = tuple([1 + vslot[vn[u]] if u in vn else 0 for u in order])
-            children.append((row, v, vslot))
-        least = min(children)[0]  # ties break on v, never on the dicts
+                if c is None:
+                    row.append(0)
+                else:
+                    s = slot.get(c)
+                    if s is None:
+                        s = nxt
+                        nxt += 1
+                    row.append(1 + s)
+            children.append((tuple(row), v))
+        least = min(children)[0]
         if best is not None:
             if least > best[i]:
                 continue
             if least < best[i]:
                 best = None
         rows.append(least)
-        for row, v, vslot in reversed(children):
+        grows = fresh + 1 in least  # the first unseen color's entry
+        for row, v in reversed(children):
             if row == least:
+                vslot = slot
+                if grows:
+                    vslot = dict(slot)
+                    for c in [nbr[v][u] for u in order if u in nbr[v]]:
+                        vslot.setdefault(c, len(vslot))
                 stack.append((order + (v,), vslot))
     assert best is not None
-    return tuple(chain.from_iterable(best))
+    at = [0] * n
+    for pos, v in enumerate(best_order):
+        at[v] = pos
+    gens = tuple(tuple([at[a[v]] for v in best_order]) for a in autos)
+    return tuple(chain.from_iterable(best)), gens
+
+
+def _run_walk(g: EdgeColoredGraph) -> None:
+    if not is_properly_colored(g):
+        raise ValueError("canonical form requires a properly colored graph")
+    code, gens = _canonical_code(g)
+    g._cache["key"] = (g.n, g.num_colors, code)
+    g._cache["gens"] = gens
 
 
 def canonical_key(g: EdgeColoredGraph):
@@ -246,22 +311,33 @@ def canonical_key(g: EdgeColoredGraph):
 
     Equal keys mean a vertex bijection plus a color bijection maps one
     graph onto the other. The key is (n, k, flat canonical code), cached
-    on g; no graph is built for it, so rejecting a duplicate costs only
-    the canonical walk. Requires a properly colored input.
+    on g beside the automorphism generators the same walk finds (see
+    canonical_generators); no graph is built for it, so rejecting a
+    duplicate costs only the canonical walk. Requires a properly colored
+    input.
     """
-    key = g._cache.get("key")
-    if key is None:
-        if not is_properly_colored(g):
-            raise ValueError("canonical form requires a properly colored graph")
-        key = (g.n, g.num_colors, _canonical_code(g))
-        g._cache["key"] = key
-    return key
+    if "key" not in g._cache:
+        _run_walk(g)
+    return g._cache["key"]
+
+
+def canonical_generators(g: EdgeColoredGraph) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms of graph_of_key(canonical_key(g)), as vertex maps in
+    its labels (each with the color bijection its edges induce), cached
+    beside the key by the walk that found it. With the permutations of
+    the isolated vertices, which none of them moves, they generate a
+    group with the same vertex orbits as the full automorphism group.
+    A graph that carries only a key, as graph_of_key's do, is walked."""
+    if "gens" not in g._cache:
+        _run_walk(g)
+    return g._cache["gens"]
 
 
 def graph_of_key(key) -> EdgeColoredGraph:
     """The canonical representative of the class `key` names, built from
     the code the key holds: identical bytes for every member of the
-    class. It carries the key in its cache, so it is never walked."""
+    class. It carries the key in its cache, so canonical_key never walks
+    it."""
     n, _, code = key
     # cell j of row i sits at flat index i*(i-1)/2 + j
     pairs = [(j, i) for i in range(n) for j in range(i)]

@@ -150,8 +150,9 @@ def _is_bipartite(nbr) -> bool:
 
 def _cycles(g: EdgeColoredGraph, ell: int) -> list:
     # roots r in decreasing order, each the minimal vertex of its cycles:
-    # walk ell-1 edges on `above`, which then holds only the neighbors
-    # above r, and close back to r with an unused color
+    # walk ell-2 edges on `above`, which then holds only the neighbors
+    # above r, and let the leaf close the last two edges itself, to a
+    # neighbor w of r above path[1] (one direction of each cycle)
     nbr = g.neighbor_colors
     # a bipartite graph has no odd cycle: no walk of odd ell can close;
     # a rainbow C_ell needs ell distinct colors and ell vertices
@@ -161,13 +162,16 @@ def _cycles(g: EdgeColoredGraph, ell: int) -> list:
     found = []
 
     def leaf(path, cols, cmask):
-        if path[1] < path[-1]:
-            c = nbr[path[0]].get(path[-1])
-            if c is not None and not cmask >> c & 1:
-                found.append(RainbowWitness("cycle", tuple(path), (*cols, c)))
+        back, low = nbr[path[0]], path[1]
+        for w, c in above[path[-1]]:
+            d = back.get(w)
+            if (d is not None and w > low and c != d
+                    and not (cmask >> c | cmask >> d) & 1 and w not in path):
+                found.append(RainbowWitness("cycle", (*path, w),
+                                            (*cols, c, d)))
 
     for r in reversed(range(g.n)):
-        _walk(above, [r], [], 0, ell - 1, leaf)
+        _walk(above, [r], [], 0, ell - 2, leaf)
         for u, c in nbr[r].items():
             above[u].append((r, c))
     found.sort()

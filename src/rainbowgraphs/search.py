@@ -9,28 +9,39 @@ constraint (no rainbow path of length ell) is closed under edge deletion:
 every feasible graph with m+1 edges extends a feasible graph with m edges.
 
 The cheap tests run on the parent, and only what survives is built
-(McKay, "Isomorph-free exhaustive generation", 1998). Deleting an edge
-of largest inv(x, y, d) = (min degree, max degree, size of class d) from
-a feasible graph with m+1 edges leaves a class of the level before, and
-inv is isomorphism-invariant. So every class is reached by a candidate
-edge (u, v, c) that has the largest inv in its child, and a candidate
-that does not is a duplicate; that test reads the parent's degrees and
-class sizes, and no child is built for it. Per vertex pair it takes one
+(McKay, "Isomorph-free exhaustive generation", 1998), in two parts.
+
+Orbit pruning: candidate edges (u, v, c) in one orbit of the parent's
+automorphisms give isomorphic children, so only the first of each orbit
+is tried. The generators come free from the canonical walk that found
+the parent's class (colored_graph.canonical_generators) and are kept,
+packed as bytes, for the classes that have any; the isolated vertices,
+all interchangeable, are read off the degrees instead.
+
+Canonical deletion: deleting an edge of largest inv(x, y, d) = (min
+degree, max degree, size of class d) from a feasible graph with m+1
+edges leaves a class of the level before, and inv is
+isomorphism-invariant. So every class is reached by a candidate edge
+(u, v, c) that has the largest inv in its child, and a candidate that
+does not is a duplicate; that test reads the parent's degrees and class
+sizes, and no child is built for it. Per vertex pair it takes one
 bound, the largest inv over the parent's edges with the degrees of u
-and v raised. Edges of the new edge's class c may enter that bound: they
-touch neither u nor v, so unless one of them already has a larger
+and v raised. Edges of the new edge's class c may enter that bound:
+they touch neither u nor v, so unless one of them already has a larger
 degree pair (checked per class), each is one size short of the new
-edge and below it.
+edge and below it. inv is invariant, so orbit-mates pass or fail this
+test together, and orbit pruning loses no class.
+
 A parent is rainbow-P_ell-free, so a candidate makes an infeasible child
 exactly when a rainbow P_ell runs through it;
 rainbow.has_rainbow_path_through decides that on the parent's adjacency,
 and infeasible children are never built. A feasible child is
 deduplicated by its canonical key alone, and a level is the sorted list
 of its keys. Each parent is decoded from its key
-(colored_graph.graph_of_key) when its turn comes, so a class's canonical
-graph is built once and lives only through that turn, with the tables
-cached on it; optima are kept as keys and decoded at the end. Node
-counts count every candidate tried.
+(colored_graph.graph_of_key) when its turn comes, so a class's
+canonical graph is built once and lives only through that turn, with
+the tables cached on it; optima are kept as keys and decoded at the
+end. Node counts count every candidate tried.
 
 Objectives: max_edges and max_rainbow_cycles, both under the rainbow-path
 freeness constraint. No bound cuts a representative: a cut by the
@@ -48,11 +59,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .colored_graph import (EdgeColoredGraph, build, canonical_form,
-                            canonical_key, degree, graph_of_key,
-                            is_properly_colored)
+                            canonical_generators, canonical_key, degree,
+                            graph_of_key, is_properly_colored)
 from .rainbow import (MAX_LEN, enumerate_rainbow_cycles, has_rainbow_path,
                       has_rainbow_path_through)
 
@@ -124,20 +135,45 @@ def _objective_value(g: EdgeColoredGraph, p: SearchProblem) -> int:
     return len(enumerate_rainbow_cycles(g, p.ell))
 
 
-def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
-    """Yield one event per one-edge extension (u, v, c) of a canonical
-    representative, in a fixed order: the child graph if it is feasible
-    and its new edge has the largest inv, else the name of the counter
-    the candidate falls in, "pruned_duplicate" or "pruned_infeasible".
+def _orbit_maps(g: EdgeColoredGraph, gens: bytes):
+    """Each packed generator of g as (vertex map, color map): a color goes
+    where the generator sends its edges, and the new color k to itself."""
+    n, nbr = g.n, g.neighbor_colors
+    maps = []
+    for i in range(0, len(gens), n):
+        a = gens[i:i + n]
+        cmap = list(range(g.num_colors + 1))
+        for x, y, d in g.edges:
+            cmap[d] = nbr[a[x]][a[y]]
+        maps.append((a, cmap))
+    return maps
+
+
+def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
+                gens: bytes | None = None):
+    """Yield one event per tried one-edge extension (u, v, c) of a
+    canonical representative, in a fixed order: the child graph if it is
+    feasible and its new edge has the largest inv, else the name of the
+    counter the candidate falls in, "pruned_duplicate" or
+    "pruned_infeasible".
+
+    `gens` packs automorphisms of g, n bytes each (canonical_generators),
+    and the permutations of g's isolated vertices join them. Candidates
+    in one orbit of that group give isomorphic children, so only the
+    first of each orbit is tried: its isolated endpoints are the first
+    isolated vertices, and the generators' images of it are marked
+    covered. With gens None every candidate is tried.
 
     inv(x, y, d) = (min degree, max degree, size of class d) in the
     child (McKay 1998). Per vertex pair, `bound` is the largest key of
-    g's edges with the degrees of u and v raised and the sizes of g; the
-    new edge's key is pair + (size[c] + 1,). No class-c edge touches u
-    or v, and in the child each gains one in size: the candidate loses
-    to one of them exactly when pair < top_pair[c], the largest degree
-    pair in class c. Otherwise each class-c key in g, (pair_e, size[c]),
-    is below the new key, so letting class c into `bound` adds nothing.
+    g's edges with the degrees of u and v raised and the sizes of g: the
+    first of g's ranked keys on an edge that touches neither u nor v,
+    or a key of an edge at u or at v, re-keyed. The new edge's key is
+    pair + (size[c] + 1,). No class-c edge touches u or v, and in the
+    child each gains one in size: the candidate loses to one of them
+    exactly when pair < top_pair[c], the largest degree pair in class c.
+    Otherwise each class-c key in g, (pair_e, size[c]), is below the new
+    key, so letting class c into `bound` adds nothing.
     g is rainbow-P_ell-free, so a child is infeasible exactly when a
     rainbow P_ell runs through its new edge; that is decided on g's own
     adjacency, and only feasible children are built. The new color is
@@ -153,21 +189,45 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem):
         size[d] += 1
         top_pair[d] = max(top_pair[d],
                           (min(deg[x], deg[y]), max(deg[x], deg[y])))
+    ranked = sorted((((min(deg[x], deg[y]), max(deg[x], deg[y]), size[d]),
+                      x, y) for x, y, d in g.edges), reverse=True)
+    iso = [v for v in range(g.n) if not deg[v]]
+    maps = _orbit_maps(g, gens) if gens else []
+    covered: set = set()  # candidates in the orbit of one already tried
     for u, v in combinations(range(g.n), 2):
         if v in nbr[u]:
             continue
+        if gens is not None:
+            lone = [w for w in (u, v) if not deg[w]]
+            if lone != iso[:len(lone)]:
+                continue
         used = set(nbr[u].values()) | set(nbr[v].values())
         allowed = [c for c in range(k) if c not in used]
         if k < max_new:
             allowed.append(k)
-        deg[u] += 1
-        deg[v] += 1
-        pair = (min(deg[u], deg[v]), max(deg[u], deg[v]))
-        bound = max(((min(deg[x], deg[y]), max(deg[x], deg[y]), size[d])
-                     for x, y, d in g.edges), default=())
-        deg[u] -= 1
-        deg[v] -= 1
+        pair = bound = None
         for c in allowed:
+            if maps:
+                if (u, v, c) in covered:
+                    continue
+                covered.add((u, v, c))
+                orbit = [(u, v, c)]
+                for x, y, d in orbit:  # grows to the whole orbit
+                    for a, cmap in maps:
+                        image = (min(a[x], a[y]), max(a[x], a[y]), cmap[d])
+                        if image not in covered:
+                            covered.add(image)
+                            orbit.append(image)
+            if bound is None:
+                du, dv = deg[u] + 1, deg[v] + 1
+                pair = (min(du, dv), max(du, dv))
+                bound = max([(min(dw, deg[x]), max(dw, deg[x]), size[d])
+                             for w, dw in ((u, du), (v, dv))
+                             for x, d in nbr[w].items()], default=())
+                for key, x, y in ranked:
+                    if u != x != v and u != y != v:
+                        bound = max(bound, key)
+                        break
             if pair + (size[c] + 1,) < bound or pair < top_pair[c]:
                 yield "pruned_duplicate"
             elif has_rainbow_path_through(g, u, v, c, p.ell):
@@ -192,10 +252,14 @@ def _run(p: SearchProblem):
     per_k: dict[int, int] = {}
     truncated = None
 
+    # a level is the sorted list of its classes' keys; `gens_of` holds the
+    # packed generators of those with any, and most classes have none
     level = [canonical_form(build(p.n, []))[0]]
+    gens_of: dict = {}
     while level and truncated is None:
         stats["levels"] += 1
         children: set = set()
+        symmetric: dict = {}
         for ck in level:
             g = graph_of_key(ck)
             if _eligible(g, p):
@@ -209,7 +273,7 @@ def _run(p: SearchProblem):
                     optima = [ck]
                 elif val == best:
                     optima.append(ck)
-            for child in _extend_one(g, p):
+            for child in _extend_one(g, p, gens_of.get(ck, b"")):
                 stats["nodes"] += 1
                 if stats["nodes"] > p.node_budget:
                     truncated = "nodes"
@@ -222,12 +286,15 @@ def _run(p: SearchProblem):
                     stats["pruned_duplicate"] += 1
                     continue
                 children.add(key)
+                gens = canonical_generators(child)
+                if gens:
+                    symmetric[key] = bytes(chain.from_iterable(gens))
             if truncated is None and p.time_budget is not None \
                     and time.perf_counter() - t0 > p.time_budget:
                 truncated = "time"
             if truncated is not None:
                 break
-        level = sorted(children)
+        level, gens_of = sorted(children), symmetric
 
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated

@@ -235,21 +235,30 @@ def _verdicts(g, ell):
             for r in run_suite(g, ell)]
 
 
+def _circulant(n):
+    """C_n with colors alternating 0/1 plus the antipodal chords in color
+    2 (n even): a vertex-transitive cubic colored graph."""
+    edges = [(i, (i + 1) % n, i % 2) for i in range(n)]
+    edges += [(i, i + n // 2, 2) for i in range(n // 2)]
+    return build(n, edges)
+
+
 def test_run_suite_verdicts_survive_relabeling_symmetric_inputs():
     rng = Random(71)
+    cases = [(ell, g) for ell in (3, 4, 5, 6)
+             for g in (d_star(ell), lower_bound_graph(2 ** (ell - 1) + 3, ell))]
+    cases += [(ell, _circulant(2 * k)) for k in range(4, 8) for ell in (3, 4)]
     moved = 0
-    for ell in (3, 4, 5, 6):
-        for g in (d_star(ell), lower_bound_graph(2 ** (ell - 1) + 3, ell)):
-            vperm = list(range(g.n))
-            cperm = list(range(g.num_colors))
-            rng.shuffle(vperm)
-            rng.shuffle(cperm)
-            h = build(g.n, [(vperm[u], vperm[v], cperm[c])
-                            for u, v, c in g.edges])
-            moved += h.edges != g.edges
-            assert _verdicts(h, ell) == _verdicts(g, ell)
+    for ell, g in cases:
+        vperm = list(range(g.n))
+        cperm = list(range(g.num_colors))
+        rng.shuffle(vperm)
+        rng.shuffle(cperm)
+        h = build(g.n, [(vperm[u], vperm[v], cperm[c]) for u, v, c in g.edges])
+        moved += h.edges != g.edges
+        assert _verdicts(h, ell) == _verdicts(g, ell)
     # d_star(3) may map onto itself; the others must move
-    assert moved >= 7
+    assert moved >= len(cases) - 1
 
 
 def test_skipped_reports_always_carry_reason_and_hold():

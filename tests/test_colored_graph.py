@@ -17,7 +17,8 @@ import pytest
 import rainbowgraphs
 from rainbowgraphs import colored_graph
 from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
-                                         build, canonical_form, canonical_key,
+                                         build, canonical_form,
+                                         canonical_generators, canonical_key,
                                          degree, is_properly_colored)
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import _greedy_color, random_proper_graph
@@ -338,6 +339,81 @@ def test_canonical_form_walks_a_class_once(monkeypatch):
     key, rep = canonical_form(g)
     assert canonical_key(rep) == key
     assert walks == [g]
+
+
+def _induced_color_map(g, a):
+    """The color bijection under which the vertex map a sends every edge
+    of g onto an edge of g, or None if there is none."""
+    nbr = g.neighbor_colors
+    cmap = {}
+    for u, v, c in g.edges:
+        d = nbr[a[u]].get(a[v])
+        if d is None or cmap.setdefault(c, d) != d:
+            return None
+    return cmap if len(set(cmap.values())) == len(cmap) else None
+
+
+def _orbits(n, maps):
+    """The vertex orbits of the group the maps generate, as frozensets."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a in maps:
+        for x in range(n):
+            root[find(x)] = find(a[x])
+    return {frozenset(v for v in range(n) if find(v) == r) for r in range(n)
+            if find(r) == r}
+
+
+def test_cached_generators_are_automorphisms_of_the_canonical_graph():
+    rng = Random(139)
+    graphs = [random_proper_graph(rng, n=rng.randint(2, 10), dense=i % 2 == 1)
+              for i in range(200)]
+    graphs += [d_star(3), d_star(4), d_star(5), hypercube(3)]
+    for n in (8, 10, 12, 14):
+        vperm = list(range(n))
+        cperm = [0, 1, 2]
+        rng.shuffle(vperm)
+        rng.shuffle(cperm)
+        graphs.append(_relabel(_circulant(n), vperm, cperm))
+    kept = 0
+    for g in graphs:
+        _, rep = canonical_form(g)
+        gens = canonical_generators(g)
+        assert len(gens) < max(g.n, 1)
+        for a in gens:
+            assert sorted(a) == list(range(g.n))
+            assert _induced_color_map(rep, a) is not None
+        kept += len(gens)
+    # the circulants and constructions are vertex-transitive
+    for g in graphs[200:]:
+        assert _orbits(g.n, canonical_generators(g)) == {frozenset(range(g.n))}
+    assert kept
+
+
+def test_generators_reach_every_automorphism_orbit():
+    # with the permutations of the isolated vertices, which no generator
+    # moves, the generators have the orbits of the full automorphism group
+    rng = Random(149)
+    graphs = [random_proper_graph(rng, n=rng.randint(2, 6)) for _ in range(80)]
+    graphs += [d_star(3), _circulant(6), build(5, [(0, 1, 0)])]
+    for g in graphs:
+        _, rep = canonical_form(g)
+        autos = [a for a in itertools.permutations(range(g.n))
+                 if _induced_color_map(rep, a) is not None]
+        iso = [v for v in range(g.n) if not rep.neighbor_colors[v]]
+        swaps = []
+        for x, y in zip(iso, iso[1:]):
+            swap = list(range(g.n))
+            swap[x], swap[y] = y, x
+            swaps.append(swap)
+        gens = canonical_generators(g)
+        assert all(a[v] == v for a in gens for v in iso)
+        assert _orbits(g.n, [*gens, *swaps]) == _orbits(g.n, autos)
 
 
 def test_canonical_key_distinguishes_color_structure_not_labels():

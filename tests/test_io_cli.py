@@ -357,9 +357,10 @@ def test_cli_export_formats(tmp_path, capsys):
 # Exit code and SHA-256 of stdout for CLI runs on fixed inputs. They pin
 # every byte of CLI text and JSON across refactors of the rainbow walk
 # kernel and the checker table. Only the search runs' node counters may
-# move, when the search tries candidates differently, and a re-pin must
-# show that nothing else changed. "{d5}" and "{d4}" stand for files
-# holding d_star(5) and d_star(4).
+# move, when the search tries candidates differently (and with them how
+# far a run truncated by --node-budget gets: its levels and evaluated
+# counts), and a re-pin must show that nothing else changed. "{d5}" and
+# "{d4}" stand for files holding d_star(5) and d_star(4).
 GOLDEN_CLI = [
     (("check", "--construction", "5", "--json"), 0,
      "a032427149e2a4fddc88d0dee765867d2382268864504448c0c00e5c27670755"),
@@ -375,12 +376,12 @@ GOLDEN_CLI = [
      "d8bb52c8c3d76acf8a70423fc714967549dc2d3103343045daba0196068a1e07"),
     (("search", "--n", "5", "--ell", "4", "--objective", "cycles",
       "--all-optima", "--json"), 0,
-     "328df79c8d9d250707100b8fae775df1991876599ee50862a99b310cdde54a29"),
+     "ec7871008b62a940684ac6f9cc246054aed842e2a8bdb49d083a748f413813c0"),
     (("search", "--n", "6", "--ell", "4", "--objective", "edges"), 0,
-     "6abecda95263bf673cbd5e45fee367b4f579d54c3edd74aad03132a32dc21283"),
+     "8987b6313ca1a416aedb3eaf56714dc9fe339cb4169ecca470a956491ab45926"),
     (("search", "--n", "5", "--ell", "4", "--objective", "cycles",
       "--node-budget", "20"), 0,
-     "0f2e589b0d2f83d9110d483dc2cdeafea0e3ee83843f6351de437a89621034f9"),
+     "1e55e81b8342ad119e211016596655b9e5814762b632673d5cd8dd39da1381d2"),
     (("search", "--n", "4", "--ell", "3", "--probe-colors"), 0,
      "c4ac3f988fa46c72db7056f0833b75b1bdfaca6a708546e33ef0332a6bec9de8"),
 ]

@@ -147,6 +147,16 @@ def test_improper_triangle_accepted_but_not_rainbow():
     assert enumerate_rainbow_cycles(g, 3) == []
 
 
+def test_cycle_walk_is_not_quadratic_at_a_root():
+    # each root's walk stops two edges short and its leaf closes both
+    # edges; a variant that paired the root's neighbors first took 6.3 s
+    # on this star, whose center is the last root
+    star = build(4001, [(0, i, i - 1) for i in range(1, 4001)])
+    start = time.perf_counter()
+    assert enumerate_rainbow_cycles(star, 4) == []
+    assert time.perf_counter() - start < 1
+
+
 def test_count_per_edge_uniform_24_on_d_star5():
     counts = count_per_edge(d_star(5), 5)
     assert len(counts) == 40

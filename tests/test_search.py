@@ -13,12 +13,13 @@ import json
 import threading
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from random import Random
 
 import pytest
 
-from rainbowgraphs.colored_graph import (build, canonical_form, canonical_key,
+from rainbowgraphs.colored_graph import (build, canonical_form,
+                                         canonical_generators, canonical_key,
                                          is_properly_colored)
 from rainbowgraphs.constructions import d_star, lower_bound_graph
 from rainbowgraphs.corpus import rainbow_free_instances, random_proper_graph
@@ -26,7 +27,7 @@ from rainbowgraphs.graph_io import result_to_dict
 from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
 from rainbowgraphs.reference import naive_colorings, naive_search
 from rainbowgraphs.search import (ColorProbeTable, ExtremalResult,
-                                  SearchProblem, _extend_one,
+                                  SearchProblem, _extend_one, _orbit_maps,
                                   _verify_witness_graph, probe_color_count,
                                   solve, verify_extremal_regularity)
 
@@ -58,12 +59,13 @@ FROZEN = {
 }
 
 
-#: Candidate events (every one-edge extension of every representative) of
-#: the default search; deterministic, so a change that skips candidates,
-#: or extends a class twice, moves them.
+#: Candidate events (one one-edge extension per orbit of each
+#: representative's automorphisms) of the default search; deterministic,
+#: so a change that skips candidates, misses a symmetry, or extends a
+#: class twice, moves them.
 NODES = {
-    (8, 3, "max_edges"): 15436,
-    (7, 4, "max_rainbow_cycles"): 29711,
+    (8, 3, "max_edges"): 4975,
+    (7, 4, "max_rainbow_cycles"): 16989,
 }
 
 #: result_to_dict with the node counters removed, over n 3..6 x ell 1..5 x
@@ -336,37 +338,78 @@ def test_node_counts_are_pinned(n, ell, objective):
 
 def _brute_levels(n, ell, colors):
     """Yield (problem, level, next level) from the empty graph on, where a
-    level maps each key to one graph of every class of rainbow-P_ell-free
-    colorings with m edges, found from every child of the level before."""
+    level lists (canonical graph, packed generators) for one graph of
+    every class of rainbow-P_ell-free colorings with m edges, found from
+    every child of the level before, and the next level maps key to graph."""
     p = SearchProblem(n, ell, "max_edges", colors=colors)
-    level = [build(n, [])]
+    level = [(build(n, []), b"")]
     while level:
         nxt = {}
-        for g in level:
+        for g, _ in level:
             for child in _every_child(g, p):
                 if not has_rainbow_path(child, ell):
                     nxt.setdefault(canonical_key(child), child)
         yield p, level, nxt
-        level = [canonical_form(g)[1] for g in nxt.values()]
+        level = [(canonical_form(g)[1],
+                  bytes(chain.from_iterable(canonical_generators(g))))
+                 for g in nxt.values()]
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
 def test_filtered_extension_reaches_every_class_of_the_next_level(ell):
     # the candidates the filter keeps must still reach every class of
-    # feasible children, one level at a time
+    # feasible children, one level at a time; trying only one candidate
+    # per orbit of the parent's generators must reach the same classes
+    # from every parent
+    tried = {None: 0, "orbits": 0}
     for n in range(2, 7):
         for colors in (None, 2, 3):
             for p, level, nxt in _brute_levels(n, ell, colors):
-                built = {canonical_key(child) for g in level
-                         for child in _extend_one(g, p)
-                         if not isinstance(child, str)}
-                assert built == set(nxt), (n, ell, colors, level[0].m)
+                built = set()
+                for g, gens in level:
+                    reached = {}
+                    for mode in tried:
+                        reached[mode] = set()
+                        for child in _extend_one(g, p, mode and gens):
+                            tried[mode] += 1
+                            if not isinstance(child, str):
+                                reached[mode].add(child.edges)
+                    keys = {edges: canonical_key(build(n, edges))
+                            for edges in reached[None]}
+                    assert reached["orbits"] <= reached[None]
+                    assert {keys[e] for e in reached["orbits"]} == \
+                        set(keys.values()), (n, ell, colors, g.edges)
+                    built |= set(keys.values())
+                assert built == set(nxt), (n, ell, colors, level[0][0].m)
+    assert tried["orbits"] < tried[None]
+
+
+def test_orbit_maps_send_edges_onto_edges():
+    # each packed generator, with the color map read off its edge images,
+    # is an automorphism of the canonical parent, and the new color k
+    # stays k
+    rng = Random(601)
+    graphs = [random_proper_graph(rng, n=rng.randint(2, 9)) for _ in range(150)]
+    graphs += [d_star(3), d_star(4)]
+    recolored = 0
+    for src in graphs:
+        g = canonical_form(src)[1]
+        gens = bytes(chain.from_iterable(canonical_generators(src)))
+        nbr, k = g.neighbor_colors, g.num_colors
+        for a, cmap in _orbit_maps(g, gens):
+            assert sorted(a) == list(range(g.n))
+            assert sorted(cmap) == list(range(k + 1)) and cmap[k] == k
+            for x, y, d in g.edges:
+                assert nbr[a[x]][a[y]] == cmap[d]
+            recolored += cmap != sorted(cmap)
+    assert recolored
 
 
 #: SHA-256 over every event `_extend_one` yields on `_parents(500 + ell,
 #: ell)` for ell 1..5 and colors None, 2 and 3: the counter name, or the
 #: child's edge list. GRID_DIGEST drops the filter's counters, so this
-#: pins which candidates the filter and the feasibility test reject.
+#: pins which candidates the filter and the feasibility test reject; no
+#: generators are passed, so every candidate is tried.
 EVENTS_DIGEST = (
     "ebec5f9455139409a062c770a7bb3a91623f53cfa6b138cc642e57881bc7f2eb")
 
