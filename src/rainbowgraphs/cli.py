@@ -1,10 +1,11 @@
 """Command-line surface: construct, check, count, search, export.
 
 Exit codes: 0 success, 1 at least one check failed, 2 usage or input
-error. stdout carries data only; diagnostics and timing go to stderr.
-Every verb has a machine-readable mode via --json with stable field
-names. --threads (default 1) must be >= 1; the work currently runs
-serially.
+error; a verb's usage errors print ``error: ...`` as input errors do.
+stdout carries data only; diagnostics and timing go to stderr.
+construct, check, count and search have a machine-readable mode via
+--json with stable field names; export writes JSON with --format json.
+--threads (default 1) must be >= 1; the work currently runs serially.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from random import Random
 
 from . import checkers, graph_io
@@ -45,6 +47,14 @@ def _read_graph(path: str) -> EdgeColoredGraph:
 
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+#: Graph writers by format name, shared by construct and export.
+_WRITERS = {
+    "cel": graph_io.write_graph_file,
+    "dot": graph_io.to_dot,
+    "json": lambda g: _json_text(graph_io.graph_to_dict(g)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,27 +119,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="convert a graph file to another format")
     p.add_argument("--input", required=True, help="colored edge-list file ('-' for stdin)")
-    p.add_argument("--format", choices=["cel", "dot", "json"], required=True)
+    p.add_argument("--format", choices=list(_WRITERS), required=True)
     p.add_argument("--out", help="write here instead of stdout")
     return parser
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> None:
     if args.cube is not None:
         if args.n is not None:
-            print("--n applies only to --ell constructions", file=sys.stderr)
-            return 2
+            raise ValueError("--n applies only to --ell constructions")
         g = hypercube(args.cube)
     elif args.n is not None:
         g = lower_bound_graph(args.n, args.ell)
     else:
         g = d_star(args.ell)
-    text = _json_text(graph_io.graph_to_dict(g)) if args.json \
-        else graph_io.write_graph_file(g)
-    _emit(text, args.out)
+    _emit(_WRITERS["json" if args.json else "cel"](g), args.out)
     if args.dot:
-        _emit(graph_io.to_dot(g), args.dot)
-    return 0
+        _emit(_WRITERS["dot"](g), args.dot)
 
 
 def _report_line(r: checkers.CheckReport, prefix: str = "") -> str:
@@ -140,7 +146,7 @@ def _report_line(r: checkers.CheckReport, prefix: str = "") -> str:
             f"bound={r.bound} observed={r.observed_max}")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     source = next(f"--{f}" for f in ("input", "construction", "random")
                   if getattr(args, f) is not None)
     for flag, value, where in (("--suite", args.suite, "--input"),
@@ -148,35 +154,26 @@ def _cmd_check(args) -> int:
                                ("--max-n", args.max_n, "--random"),
                                ("--ell", args.ell, "--input or --random")):
         if value is not None and source not in where:
-            print(f"{flag} applies only to check {where}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} applies only to check {where}")
     if args.suite is not None and args.ell not in (None, 5):
-        print(f"--suite p5 runs ell = 5, not --ell {args.ell}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--suite p5 runs ell = 5, not --ell {args.ell}")
+    seed = None
     if args.construction is not None:
         reports = [("", checkers.verify_construction(args.construction))]
-        seed = None
     elif args.input is not None:
         ell = 5 if args.suite == "p5" else args.ell
         if ell is None:
-            print("check --input needs --ell or --suite", file=sys.stderr)
-            return 2
+            raise ValueError("check --input needs --ell or --suite")
         g = _read_graph(args.input)
         reports = [("", r) for r in checkers.run_suite(g, ell)]
-        seed = None
     else:
         if args.ell is None:
-            print("check --random needs --ell", file=sys.stderr)
-            return 2
+            raise ValueError("check --random needs --ell")
         if args.random < 1:
-            print(f"check --random needs COUNT >= 1, got {args.random}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"check --random needs COUNT >= 1, got {args.random}")
         max_n = 10 if args.max_n is None else args.max_n
         if not 3 <= max_n <= _MAX_RANDOM_N:
-            print(f"--max-n must be in 3..{_MAX_RANDOM_N}, got {max_n}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"--max-n must be in 3..{_MAX_RANDOM_N}, got {max_n}")
         seed = 0 if args.seed is None else args.seed
         rng = Random(seed)
         reports = []
@@ -184,73 +181,50 @@ def _cmd_check(args) -> int:
             g = random_proper_graph(rng, n=rng.randint(3, max_n))
             reports.extend((f"graph {i} ", r)
                            for r in checkers.run_suite(g, args.ell))
-    failed = any(not r.holds for _, r in reports)
-    if args.json:
-        doc = {"reports": [dict(graph_io.report_to_dict(r), context=pfx.strip())
-                           for pfx, r in reports]}
-        if seed is not None:
-            doc["seed"] = seed
-        sys.stdout.write(_json_text(doc))
-    else:
-        if seed is not None:
-            print(f"seed {seed}")
-        for pfx, r in reports:
-            print(_report_line(r, pfx))
-    return 1 if failed else 0
+    doc = {"reports": [dict(graph_io.report_to_dict(r), context=pfx.strip())
+                       for pfx, r in reports]}
+    lines = [_report_line(r, pfx) for pfx, r in reports]
+    if seed is not None:
+        doc["seed"] = seed
+        lines.insert(0, f"seed {seed}")
+    return doc, lines, 1 if any(not r.holds for _, r in reports) else 0
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> tuple:
     g = _read_graph(args.input)
+    ell = args.cycles if args.cycles is not None else args.paths
     if args.cycles is not None:
-        ws = enumerate_rainbow_cycles(g, args.cycles, threads=args.threads)
-        per_edge = count_per_edge(g, args.cycles)  # reuses the cached cycles
-        ell, kind = args.cycles, "cycles"
-        table = [[u, v, c, per_edge[(u, v)]] for u, v, c in g.edges]
+        ws = enumerate_rainbow_cycles(g, ell, threads=args.threads)
+        per_edge = count_per_edge(g, ell)  # reuses the cached cycles
+        doc = {"kind": "cycles",
+               "per_edge": [[u, v, c, per_edge[(u, v)]] for u, v, c in g.edges]}
     else:
-        ws = enumerate_rainbow_paths(g, args.paths, threads=args.threads)
-        ell, kind = args.paths, "paths"
-        table = None
-    if args.json:
-        doc = {"kind": kind, "ell": ell, "total": len(ws)}
-        if table is not None:
-            doc["per_edge"] = table
-        if args.witnesses:
-            doc["witnesses"] = [graph_io.witness_line(w) for w in ws]
-        sys.stdout.write(_json_text(doc))
-    else:
-        print(f"total {len(ws)}")
-        if table is not None:
-            for row in table:
-                print(" ".join(map(str, row)))
-        if args.witnesses:
-            for w in ws:
-                print(graph_io.witness_line(w))
-    return 0
+        ws = enumerate_rainbow_paths(g, ell, threads=args.threads)
+        doc = {"kind": "paths"}
+    doc.update(ell=ell, total=len(ws))
+    if args.witnesses:
+        doc["witnesses"] = [graph_io.witness_line(w) for w in ws]
+    # lazy: under --json the per-edge rows are never formatted
+    rows = (" ".join(map(str, row)) for row in doc.get("per_edge", ()))
+    return doc, chain([f"total {len(ws)}"], rows, doc.get("witnesses", ())), 0
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple:
     if args.probe_colors:
         for flag, given in (("--objective", args.objective is not None),
                             ("--colors", args.colors is not None),
                             ("--all-optima", args.all_optima),
                             ("--time-budget", args.time_budget is not None)):
             if given:
-                print(f"--probe-colors does not take {flag}", file=sys.stderr)
-                return 2
+                raise ValueError(f"--probe-colors does not take {flag}")
         table = probe_color_count(args.n, args.ell, node_budget=args.node_budget,
                                   threads=args.threads)
-        if args.json:
-            doc = {"rows": [list(r) for r in table.rows],
-                   "exhaustive": table.exhaustive}
-            sys.stdout.write(_json_text(doc))
-        else:
-            print(f"exhaustive {str(table.exhaustive).lower()}")
-            for k, v in table.rows:
-                print(f"{k} {v}")
-        return 0
+        doc = {"rows": [list(r) for r in table.rows],
+               "exhaustive": table.exhaustive}
+        lines = [f"exhaustive {str(table.exhaustive).lower()}"]
+        return doc, lines + [f"{k} {v}" for k, v in table.rows], 0
     if args.objective is None:
-        print("search needs --objective (or --probe-colors)", file=sys.stderr)
-        return 2
+        raise ValueError("search needs --objective (or --probe-colors)")
     objective = "max_edges" if args.objective == "edges" else "max_rainbow_cycles"
     problem = SearchProblem(
         n=args.n, ell=args.ell, objective=objective, colors=args.colors,
@@ -259,32 +233,21 @@ def _cmd_search(args) -> int:
     result = solve(problem)
     print(f"search took {result.stats['wall_time_s']:.3f}s, "
           f"{result.stats['nodes']} nodes", file=sys.stderr)
-    if args.json:
-        sys.stdout.write(_json_text(graph_io.result_to_dict(result)))
-    else:
-        print(f"value {result.value}")
-        print(f"exhaustive {str(result.exhaustive).lower()}")
-        for key in ("nodes", "levels", "evaluated", "pruned_infeasible",
-                    "pruned_duplicate", "pruned_bound"):
-            print(f"{key} {result.stats[key]}")
-        if result.witness is not None:
-            print("witness:")
-            sys.stdout.write(graph_io.write_graph_file(result.witness))
-        if result.optima is not None:
-            print(f"optima {len(result.optima)}")
-    return 0
+    lines = [f"value {result.value}",
+             f"exhaustive {str(result.exhaustive).lower()}"]
+    lines += [f"{key} {result.stats[key]}" for key in (
+        "nodes", "levels", "evaluated", "pruned_infeasible",
+        "pruned_duplicate", "pruned_bound")]
+    if result.witness is not None:
+        lines.append("witness:")
+        lines += graph_io.write_graph_file(result.witness).splitlines()
+    if result.optima is not None:
+        lines.append(f"optima {len(result.optima)}")
+    return graph_io.result_to_dict(result), lines, 0
 
 
-def _cmd_export(args) -> int:
-    g = _read_graph(args.input)
-    if args.format == "dot":
-        text = graph_io.to_dot(g)
-    elif args.format == "json":
-        text = _json_text(graph_io.graph_to_dict(g))
-    else:
-        text = graph_io.write_graph_file(g)
-    _emit(text, args.out)
-    return 0
+def _cmd_export(args) -> None:
+    _emit(_WRITERS[args.format](_read_graph(args.input)), args.out)
 
 
 _COMMANDS = {
@@ -297,14 +260,24 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    """Dispatch one CLI invocation; returns the process exit code."""
+    """Dispatch one CLI invocation; returns the process exit code.
+
+    construct and export write their own output and return None. The
+    other verbs return (JSON document, iterable of text lines, exit code),
+    and run writes the document under --json and the lines otherwise."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.verb](args)
+        printed = _COMMANDS[args.verb](args)
+        if printed is None:
+            return 0
+        doc, lines, code = printed
+        sys.stdout.write(_json_text(doc) if args.json
+                         else "".join(f"{line}\n" for line in lines))
+        return code
     except BrokenPipeError:
         raise  # downstream consumer gone; let main() quiet it
     except (ValueError, OSError) as exc:

@@ -122,6 +122,22 @@ def test_build_vertex_ceiling():
         build(-1, [])
 
 
+@pytest.mark.parametrize("call,expected", [
+    (lambda: build(3, [(0, 1)]), ValueError(r"must be a \(u, v, c\) triple")),
+    (lambda: build(3, [(0, 1, 0.5)]), ValueError("must contain integers")),
+    (lambda: degree(build(3, []), 3), ValueError("vertex 3 out of range")),
+    (lambda: canonical_key(build(0, [])), (0, 0, ())),
+    (lambda: canonical_form(build(0, [])), ((0, 0, ()), build(0, []))),
+], ids=["build-pair", "build-float-color", "degree-out-of-range",
+        "canonical-key-empty", "canonical-form-empty"])
+def test_guards_and_the_empty_graph(call, expected):
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError, match=str(expected)):
+            call()
+    else:
+        assert call() == expected
+
+
 # ------------------------------------------------------- basic queries
 
 

@@ -19,7 +19,8 @@ import pytest
 
 import rainbowgraphs
 from rainbowgraphs.checkers import (CheckReport, check_avg_degree_on_v_prime,
-                                    check_degree_lemma, run_suite,
+                                    check_degree_lemma,
+                                    check_k_color_edge_bound, run_suite,
                                     verify_construction)
 from rainbowgraphs.cli import run
 from rainbowgraphs.colored_graph import build
@@ -117,6 +118,18 @@ def test_report_to_dict_witness_rendering():
     assert doc["witnesses"] == ["vertex 0", "vertex 1", "vertex 2", "vertex 3"]
     assert doc["holds"] is True and doc["skipped"] is False
     json.dumps(doc)  # schema must be JSON-serializable
+    edge_doc = report_to_dict(check_k_color_edge_bound(d_star(3), 3))
+    assert edge_doc["witnesses"] == ["edge 0 1", "edge 0 2", "edge 0 3",
+                                     "edge 1 2", "edge 1 3", "edge 2 3"]
+    # a failing construction report carries its offending cycles; a
+    # RainbowWitness is a tuple too, so it must not render as an edge
+    offenders = tuple(enumerate_rainbow_cycles(d_star(3), 3)[:2])
+    failed = report_to_dict(CheckReport("construction_suite", False, 4, 4,
+                                        offenders))
+    assert failed["witnesses"] == ["cycle 0 1 2 : 0 2 1",
+                                   "cycle 0 1 3 : 0 1 2"]
+    assert failed["holds"] is False
+    json.dumps(failed)
 
 
 def test_report_to_dict_serializes_exact_fractions():
@@ -568,6 +581,17 @@ def test_cli_usage_errors_exit_2(capsys):
     assert run(["frobnicate"]) == 2
     assert run(["search", "--n", "4"]) == 2
     capsys.readouterr()
+
+
+def test_cli_count_rejects_lengths_below_the_minimum(tmp_path, capsys):
+    # --cycles 0 is a length to reject, not an absent flag
+    path = tmp_path / "g.cel"
+    path.write_text(D3_TEXT)
+    for kind, ell, least in (("--cycles", "0", 3), ("--cycles", "2", 3),
+                             ("--paths", "0", 1)):
+        code, out, err = _run(capsys, "count", "--input", str(path), kind, ell)
+        assert code == 2 and out == ""
+        assert f"error: length parameter must be >= {least}, got {ell}" in err
 
 
 def test_cli_invalid_search_parameters_exit_2(tmp_path, capsys):

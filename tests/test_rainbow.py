@@ -570,6 +570,31 @@ def test_verify_witness_rejects_tampered_certificates():
     assert not verify_witness(g, reversed_path)
 
 
+_TRIANGLE = build(3, [(0, 1, 0), (0, 2, 1), (1, 2, 2)])
+_REUSED_COLOR_PATH = build(4, [(0, 1, 0), (1, 2, 1), (2, 3, 0)])
+
+
+@pytest.mark.parametrize("query,refusal", [
+    # a closed walk: every edge and color is right, but vertex 0 repeats
+    (lambda: verify_witness(_TRIANGLE, RainbowWitness(
+        "path", (0, 1, 2, 0), (0, 2, 1))), False),
+    # a properly colored path that is not rainbow
+    (lambda: verify_witness(_REUSED_COLOR_PATH, RainbowWitness(
+        "path", (0, 1, 2, 3), (0, 1, 0))), False),
+    (lambda: verify_witness(_TRIANGLE, RainbowWitness(
+        "walk", (0, 1, 2), (0, 1))), False),
+    (lambda: rainbow_paths_between(_TRIANGLE, 0, 3, 1),
+     "endpoint out of range"),
+], ids=["witness-repeated-vertex", "witness-repeated-color",
+        "witness-unknown-kind", "between-endpoint-out-of-range"])
+def test_malformed_queries_are_refused(query, refusal):
+    if refusal is False:
+        assert query() is False
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            query()
+
+
 # --------------------------------------------------------------- tables
 
 # Digest of every rainbow query below on _table_graphs(), frozen from the
