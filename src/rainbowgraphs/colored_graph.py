@@ -205,6 +205,10 @@ def _canonical_code(g: EdgeColoredGraph):
     cell with all-zero rows; the walk starts with them placed in order.
     The colors at one vertex are distinct, so a row numbers its unseen
     colors with a counter, and only a pushed prefix gets its slot dict.
+    When every cell past the isolated vertices' holds one vertex, only
+    one ordering is allowed: the code is then written row by row in one
+    pass, slots numbered by first appearance along it, and there are no
+    generators, since every automorphism fixes each vertex with an edge.
 
     Two leaves with one code give an automorphism, best_order[j] ->
     order[j], with the color bijection its edges induce. A tie keeps it
@@ -231,6 +235,14 @@ def _canonical_code(g: EdgeColoredGraph):
     for v in iso[1:]:
         orbit[v] = iso[0]
     orbits = n - max(len(iso) - 1, 0)
+    if orbits == len(cells):
+        # one vertex per cell past the isolated ones: one allowed order
+        order = iso + tuple(c[0] for c in cell_at[len(iso):])
+        slot: dict[int, int] = {}
+        code = [0 if c is None else 1 + slot.setdefault(c, len(slot))
+                for i, v in enumerate(order)
+                for c in map(nbr[v].get, order[:i])]
+        return tuple(code), ()
     autos: list[dict[int, int]] = []
 
     best: list | None = None

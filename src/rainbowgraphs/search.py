@@ -32,6 +32,12 @@ degree pair (checked per class), each is one size short of the new
 edge and below it. inv is invariant, so orbit-mates pass or fail this
 test together, and orbit pruning loses no class.
 
+Both tests run on integer tables built once per parent. inv is the int
+(lo*n + hi)*n + size: each part is below n, so the ints sort as the
+triples do. A vertex's colors are a bitmask, so a pair's free colors
+are the bits clear at both ends, and a generator is a table of vertex
+pair images, so a candidate's image is two list lookups.
+
 A parent is rainbow-P_ell-free, so a candidate makes an infeasible child
 exactly when a rainbow P_ell runs through it;
 rainbow.has_rainbow_path_through decides that on the parent's adjacency,
@@ -162,78 +168,91 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
     in one orbit of that group give isomorphic children, so only the
     first of each orbit is tried: its isolated endpoints are the first
     isolated vertices, and the generators' images of it are marked
-    covered. With gens None every candidate is tried.
+    covered. A candidate is coded as (pair index, color), and each
+    generator as a table of pair images beside its color map, so an
+    image is two list lookups. With gens None every candidate is tried.
 
     inv(x, y, d) = (min degree, max degree, size of class d) in the
-    child (McKay 1998). Per vertex pair, `bound` is the largest key of
-    g's edges with the degrees of u and v raised and the sizes of g: the
-    first of g's ranked keys on an edge that touches neither u nor v,
-    or a key of an edge at u or at v, re-keyed. The new edge's key is
-    pair + (size[c] + 1,). No class-c edge touches u or v, and in the
-    child each gains one in size: the candidate loses to one of them
-    exactly when pair < top_pair[c], the largest degree pair in class c.
-    Otherwise each class-c key in g, (pair_e, size[c]), is below the new
-    key, so letting class c into `bound` adds nothing.
+    child (McKay 1998), coded as the int (lo*n + hi)*n + size. Degrees
+    are below n, and so is a class size, since a class is a matching of
+    at most n/2 edges; so the ints sort exactly as the triples do. Per
+    vertex pair, `bound` is the largest inv of g's edges with the degrees
+    of u and v raised and the sizes of g. Raising an endpoint's degree
+    never lowers an inv, so that is the larger of up[u] and up[v], where
+    up[w] is the largest inv of g with the degree of w alone raised. The
+    new edge's inv is pair*n + size[c] + 1. No class-c edge touches u or
+    v, and in the child each gains one in size: the candidate loses to
+    one of them exactly when pair < top_pair[c], the largest degree pair
+    in class c. Otherwise each class-c inv in g, pair_e*n + size[c], is
+    below the new one, so letting class c into `bound` adds nothing.
     g is rainbow-P_ell-free, so a child is infeasible exactly when a
     rainbow P_ell runs through its new edge; that is decided on g's own
     adjacency, and only feasible children are built. The new color is
-    free at u and at v, so every child is proper. Lazy, so a node budget
-    stops the work at the exact candidate that breaches it."""
-    nbr = g.neighbor_colors
+    free at u and at v (its bit is clear in both endpoints' color masks),
+    so every child is proper. Lazy, so a node budget stops the work at
+    the exact candidate that breaches it."""
+    n, nbr, edges = g.n, g.neighbor_colors, g.edges
     k = g.num_colors
-    max_new = p.colors if p.colors is not None else p.n * p.n
+    new = [k] if p.colors is None or k < p.colors else []
     deg = [len(row) for row in nbr]
+    colors_at = [0] * n  # bit c set: color c is used at the vertex
     size = [0] * (k + 1)  # class k is the new color
-    top_pair = [(0, 0)] * (k + 1)
-    for x, y, d in g.edges:
+    for x, y, d in edges:
+        colors_at[x] |= 1 << d
+        colors_at[y] |= 1 << d
         size[d] += 1
-        top_pair[d] = max(top_pair[d],
-                          (min(deg[x], deg[y]), max(deg[x], deg[y])))
-    ranked = sorted((((min(deg[x], deg[y]), max(deg[x], deg[y]), size[d]),
-                      x, y) for x, y, d in g.edges), reverse=True)
-    iso = [v for v in range(g.n) if not deg[v]]
-    maps = _orbit_maps(g, gens) if gens else []
-    covered: set = set()  # candidates in the orbit of one already tried
-    for u, v in combinations(range(g.n), 2):
-        if v in nbr[u]:
-            continue
-        if gens is not None:
-            lone = [w for w in (u, v) if not deg[w]]
-            if lone != iso[:len(lone)]:
-                continue
-        used = set(nbr[u].values()) | set(nbr[v].values())
-        allowed = [c for c in range(k) if c not in used]
-        if k < max_new:
-            allowed.append(k)
-        pair = bound = None
-        for c in allowed:
+    top_pair = [0] * (k + 1)
+    top = 0  # the largest inv in g
+    at = [0] * n  # the largest inv of an edge at w, w's degree raised
+    for x, y, d in edges:
+        dx, dy = deg[x], deg[y]
+        pair = dx * n + dy if dx < dy else dy * n + dx
+        top_pair[d] = max(top_pair[d], pair)
+        top = max(top, pair * n + size[d])
+        for w, dw, dz in ((x, dx + 1, dy), (y, dy + 1, dx)):
+            pair = dw * n + dz if dw < dz else dz * n + dw
+            at[w] = max(at[w], pair * n + size[d])
+    up = [max(top, b) for b in at]
+    every = list(combinations(range(n), 2))
+    pairs = [(i, u, v) for i, (u, v) in enumerate(every) if v not in nbr[u]]
+    maps = []
+    if gens is not None:
+        # an isolated endpoint is the first isolated vertex, or the
+        # second when the first is the other endpoint
+        iso = tuple(v for v in range(n) if not deg[v])
+        spare = set(iso[1:])
+        pairs = [(i, u, v) for i, u, v in pairs
+                 if spare.isdisjoint((u, v)) or (u, v) == iso[:2]]
+        if gens:
+            index = [0] * (n * n)
+            for i, (x, y) in enumerate(every):
+                index[x * n + y] = index[y * n + x] = i
+            maps = [([index[a[x] * n + a[y]] for x, y in every], cmap)
+                    for a, cmap in _orbit_maps(g, gens)]
+            covered = [bytearray(k + 1) for _ in every]
+    for i, u, v in pairs:
+        du, dv = deg[u] + 1, deg[v] + 1
+        pair = du * n + dv if du < dv else dv * n + du
+        bound = max(up[u], up[v])
+        used = colors_at[u] | colors_at[v]
+        for c in [c for c in range(k) if not used >> c & 1] + new:
             if maps:
-                if (u, v, c) in covered:
+                if covered[i][c]:
                     continue
-                covered.add((u, v, c))
-                orbit = [(u, v, c)]
-                for x, y, d in orbit:  # grows to the whole orbit
-                    for a, cmap in maps:
-                        image = (min(a[x], a[y]), max(a[x], a[y]), cmap[d])
-                        if image not in covered:
-                            covered.add(image)
-                            orbit.append(image)
-            if bound is None:
-                du, dv = deg[u] + 1, deg[v] + 1
-                pair = (min(du, dv), max(du, dv))
-                bound = max([(min(dw, deg[x]), max(dw, deg[x]), size[d])
-                             for w, dw in ((u, du), (v, dv))
-                             for x, d in nbr[w].items()], default=())
-                for key, x, y in ranked:
-                    if u != x != v and u != y != v:
-                        bound = max(bound, key)
-                        break
-            if pair + (size[c] + 1,) < bound or pair < top_pair[c]:
+                covered[i][c] = 1
+                orbit = [(i, c)]
+                for x, d in orbit:  # grows to the whole orbit
+                    for images, cmap in maps:
+                        y, e = images[x], cmap[d]
+                        if not covered[y][e]:
+                            covered[y][e] = 1
+                            orbit.append((y, e))
+            if pair * n + size[c] + 1 < bound or pair < top_pair[c]:
                 yield "pruned_duplicate"
             elif has_rainbow_path_through(g, u, v, c, p.ell):
                 yield "pruned_infeasible"
             else:
-                yield build(g.n, g.edges + ((u, v, c),))
+                yield build(n, edges + ((u, v, c),))
 
 
 def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:

@@ -19,7 +19,8 @@ from rainbowgraphs import colored_graph
 from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
                                          build, canonical_form,
                                          canonical_generators, canonical_key,
-                                         degree, is_properly_colored)
+                                         degree, graph_of_key,
+                                         is_properly_colored)
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import _greedy_color, random_proper_graph
 from rainbowgraphs.reference import matching_partitions
@@ -205,6 +206,46 @@ def test_canonical_form_bytes_are_frozen():
         h.update(repr(rep.edges).encode())
     assert h.hexdigest() == (
         "ddfeec4d48a033433a3abbfeea18d0e67c43b24af6dea807e1e9da752b0d77a2")
+
+
+def _one_ordering(g):
+    """True iff every cell of g's refined partition except the isolated
+    vertices' holds one vertex, so only one vertex order is allowed."""
+    rank = colored_graph._refined_ranks(g)
+    ranks = [rank[v] for v in range(g.n) if g.neighbor_colors[v]]
+    return len(set(ranks)) == len(ranks)
+
+
+def test_one_allowed_order_still_gives_a_canonical_code():
+    # when the refinement fixes the order the code is written in one
+    # pass, numbering color slots along the whole code; it must be the
+    # same for every relabeling, padding with isolated vertices only
+    # puts zeros in front of each row, decoding it gives back g's class,
+    # and no automorphism moves a vertex that has an edge
+    rng = Random(127)
+    graphs = [random_proper_graph(rng, n=rng.randint(2, 10), dense=i % 2 == 1)
+              for i in range(300)]
+    fixed = [g for g in graphs if _one_ordering(g)]
+    assert len(fixed) >= 100
+    assert any(g.n - sum(map(bool, g.neighbor_colors)) >= 2 for g in fixed)
+    for g in fixed:
+        n, k, code = key = canonical_key(g)
+        assert canonical_generators(g) == ()
+        rep = build(n, graph_of_key(key).edges)
+        assert is_properly_colored(rep) and canonical_key(rep) == key
+        for pad in (0, 1, 3):
+            rows = [(0,) * i for i in range(pad)]
+            # row i of a flat code is the i cells from index i*(i-1)/2 on
+            rows += [(0,) * pad + code[i * (i - 1) // 2:i * (i + 1) // 2]
+                     for i in range(n)]
+            expected = (n + pad, k, tuple(itertools.chain(*rows)))
+            vperm = list(range(n + pad))
+            cperm = list(range(k))
+            rng.shuffle(vperm)
+            rng.shuffle(cperm)
+            other = _relabel(build(n + pad, g.edges), vperm, cperm)
+            assert _one_ordering(other)
+            assert canonical_key(other) == expected
 
 
 def test_canonical_key_beyond_recursion_limit():

@@ -66,6 +66,19 @@ FROZEN = {
 NODES = {
     (8, 3, "max_edges"): 4975,
     (7, 4, "max_rainbow_cycles"): 16989,
+    (6, 5, "max_rainbow_cycles"): 24565,
+    (5, 5, "max_rainbow_cycles"): 826,
+}
+
+#: How the canonical-deletion filter and the feasibility test split those
+#: candidates, as (pruned_infeasible, pruned_duplicate); the rest built a
+#: child. A filter that keeps `nodes` but moves a candidate from one
+#: counter to the other shows here.
+SPLIT = {
+    (8, 3, "max_edges"): (1232, 3415),
+    (7, 4, "max_rainbow_cycles"): (2031, 14012),
+    (6, 5, "max_rainbow_cycles"): (485, 22172),
+    (5, 5, "max_rainbow_cycles"): (0, 639),
 }
 
 #: result_to_dict with the node counters removed, over n 3..6 x ell 1..5 x
@@ -336,6 +349,13 @@ def test_node_counts_are_pinned(n, ell, objective):
     assert _solve(n, ell, objective).stats["nodes"] == NODES[(n, ell, objective)]
 
 
+@pytest.mark.parametrize("n,ell,objective", sorted(SPLIT))
+def test_filter_split_is_pinned(n, ell, objective):
+    stats = _solve(n, ell, objective).stats
+    assert (stats["pruned_infeasible"], stats["pruned_duplicate"]) == \
+        SPLIT[(n, ell, objective)]
+
+
 def _brute_levels(n, ell, colors):
     """Yield (problem, level, next level) from the empty graph on, where a
     level lists (canonical graph, packed generators) for one graph of
@@ -413,17 +433,34 @@ def test_orbit_maps_send_edges_onto_edges():
 EVENTS_DIGEST = (
     "ebec5f9455139409a062c770a7bb3a91623f53cfa6b138cc642e57881bc7f2eb")
 
+#: The same hash with each parent's packed generators passed, so only the
+#: first candidate of each orbit is tried and the isolated-vertex rule
+#: applies: 22,463 events.
+ORBIT_EVENTS_DIGEST = (
+    "bc908f83cdb260be83406729ddfd242c4eebd031111aa05f827dbb1e493746b6")
 
-def test_extension_events_are_frozen():
+
+def _events_digest(orbits):
     h = hashlib.sha256()
     for ell in range(1, 6):
         for g in _parents(500 + ell, ell):
+            gens = None
+            if orbits:
+                gens = bytes(chain.from_iterable(canonical_generators(g)))
             for colors in (None, 2, 3):
                 p = SearchProblem(max(g.n, 2), ell, "max_edges", colors=colors)
-                for event in _extend_one(g, p):
+                for event in _extend_one(g, p, gens):
                     text = event if isinstance(event, str) else repr(event.edges)
                     h.update(text.encode() + b"\n")
-    assert h.hexdigest() == EVENTS_DIGEST
+    return h.hexdigest()
+
+
+def test_extension_events_are_frozen():
+    assert _events_digest(orbits=False) == EVENTS_DIGEST
+
+
+def test_orbit_pruned_extension_events_are_frozen():
+    assert _events_digest(orbits=True) == ORBIT_EVENTS_DIGEST
 
 
 def test_every_search_child_is_proper():
