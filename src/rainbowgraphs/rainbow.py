@@ -10,13 +10,14 @@ on any colored graph, proper or not; properness is only a hypothesis of
 the checker module. A rainbow P_ell needs ell colors and ell+1 vertices,
 a C_ell ell of each, so a length above either count returns at once.
 
-`has_rainbow_path` at ell >= 6 meets in the middle: each path is split
-at a middle vertex m, the longer halves from m are stored by color mask
-and vertex mask, and the shorter halves from m look for a stored half
-disjoint from them in both, so each middle vertex walks about
-Delta^(ell/2) halves where each start walked about Delta^ell paths.
-Below 6, or where a half-table could grow past `HALF_CEILING`, the walk
-from every start runs instead.
+`has_rainbow_path` at ell >= 6 meets in the middle: one table per
+vertex holds its rainbow halves of ell//2 edges, and a path's middle
+vertex (even ell) or middle edge (odd ell) joins two halves with
+disjoint color and vertex masks. Each table is walked once while the
+tables kept between middles hold at most `HALF_CEILING` halves, so a
+vertex walks about Delta^(ell/2) halves where each start walked about
+Delta^ell paths. Below 6, or where one table could pass `HALF_CEILING`,
+the walk from every start runs instead.
 
 Each subgraph copy is stored once, in the orientation the walks produce:
 a path starts at its smaller endpoint; a cycle starts at its minimal
@@ -36,10 +37,11 @@ from .colored_graph import EdgeColoredGraph
 #: edge (Python ints do not overflow, and color masks index colors).
 MAX_LEN = 62
 
-#: Largest number of halves `has_rainbow_path` may store for one middle
-#: vertex, as bounded by Delta * (Delta - 1)^(b - 1) for halves of b
-#: edges; above it the walk from every start runs, which on a graph rich
-#: in rainbow paths stops at its first leaf.
+#: Largest number of halves `has_rainbow_path` may hold. One table can
+#: hold Delta * (Delta - 1)^(h - 1) halves of h edges; past the cap the
+#: walk from every start runs, which on a graph rich in rainbow paths stops
+#: at its first leaf. The tables kept for later middles hold at most the
+#: cap together; past it a table is walked again for each middle.
 HALF_CEILING = 1 << 18
 
 
@@ -199,12 +201,16 @@ def _stop(*_) -> bool:
 def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     """True iff some rainbow path with exactly ell edges exists.
 
-    At ell >= 6 every path is split at a middle vertex m into halves of
-    b = ell - ell//2 and ell//2 edges. For each m, the b-edge halves from
-    m are stored as vertex masks (m left out) grouped by color mask; then
-    each (ell//2)-edge half from m stops at the first stored half whose
-    color and vertex masks are both disjoint from its own. Below 6 the
-    split costs more than it saves, and where Delta * (Delta - 1)^(b - 1)
+    At ell >= 6 each vertex's table holds its rainbow halves of h = ell//2
+    edges as vertex masks (the vertex left out) grouped by color mask. At
+    even ell a path's middle vertex m joins two halves of m's table with
+    disjoint color and vertex masks. At odd ell a path's middle edge
+    (x, y, c) joins a half of x's table to one of y's: disjoint as
+    before, neither using c, x's avoiding y and y's avoiding x. A table
+    serves every middle edge at its vertex and is dropped after the last;
+    the tables kept between middles hold at most `HALF_CEILING` halves,
+    and past that a table is walked again for each middle. Below 6 the
+    split costs more than it saves, and where Delta * (Delta - 1)^(h - 1)
     exceeds `HALF_CEILING` one table could be huge, so in both cases a
     walk runs from every start and stops at the first full-length path.
     """
@@ -215,12 +221,43 @@ def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     return g._cache[key]
 
 
-def _vertex_mask(path) -> int:
-    # the vertices after the front one, which is the middle vertex
-    mask = 0
-    for v in path[1:]:
-        mask |= 1 << v
-    return mask
+def _halves(adj, v: int, h: int) -> dict[int, list[int]]:
+    # v's table: the vertex masks (v left out) of the h-edge rainbow paths
+    # from v, grouped by color mask; the walk stops one edge short and its
+    # leaf takes the last edge, so one call stores a whole fan of halves
+    table: dict[int, list[int]] = {}
+
+    def store(path, cols, cmask):
+        base = 0
+        for w in path[1:]:
+            base |= 1 << w
+        for u, c in adj[path[-1]]:
+            if not cmask >> c & 1 and u not in path:
+                table.setdefault(cmask | 1 << c, []).append(base | 1 << u)
+
+    _walk(adj, [v], [], 0, h - 1, store)
+    return table
+
+
+def _meets(left: dict, right: dict, cmask: int, vmask: int) -> bool:
+    # some half of `left` and some half of `right` share no color and no
+    # vertex, and neither uses a color of cmask or a vertex of vmask; a
+    # table met with itself pairs each two color masks once
+    rows = [(cm, [vm for vm in group if not vm & vmask])
+            for cm, group in right.items() if not cm & cmask]
+    for cm, vms in left.items():
+        if cm & cmask:
+            continue
+        fits = [vm for other, group in rows
+                if not other & cm and (left is not right or other > cm)
+                for vm in group]
+        for vm in vms:
+            if vm & vmask:
+                continue
+            for other in fits:
+                if not vm & other:
+                    return True
+    return False
 
 
 def _has_path(g: EdgeColoredGraph, ell: int) -> bool:
@@ -228,33 +265,39 @@ def _has_path(g: EdgeColoredGraph, ell: int) -> bool:
     if ell > min(g.num_colors, g.n - 1):
         return False
     adj = g.adjacency
-    b = ell - ell // 2
+    h = ell // 2
     top = max(map(len, adj))
-    if ell < 6 or top * (top - 1) ** (b - 1) > HALF_CEILING:
+    if ell < 6 or top * (top - 1) ** (h - 1) > HALF_CEILING:
         return any(_walk(adj, [s], [], 0, ell, _stop) for s in range(g.n))
-    for m in range(g.n):
-        halves: dict[int, list[int]] = {}
-
-        def store(path, cols, cmask):
-            halves.setdefault(cmask, []).append(_vertex_mask(path))
-
-        _walk(adj, [m], [], 0, b, store)
-        # stored vertex masks of the halves color-disjoint from cmask,
-        # gathered once per color mask of a short half
-        fits: dict[int, list[int]] = {}
-
-        def join(path, cols, cmask):
-            vms = fits.get(cmask)
-            if vms is None:
-                vms = fits[cmask] = [vm for cm, group in halves.items()
-                                     if not cm & cmask for vm in group]
-            mask = _vertex_mask(path)
-            for vm in vms:
-                if not vm & mask:
-                    return True
-            return False
-
-        if halves and _walk(adj, [m], [], 0, ell // 2, join):
+    # the middles (x, y, color mask): each vertex (m, m, 0) at even ell,
+    # each edge (x, y, 1 << c) with x < y at odd ell
+    if ell % 2:
+        middles = [(x, y, 1 << c) for x in range(g.n) for y, c in adj[x]
+                   if x < y]
+    else:
+        middles = [(m, m, 0) for m in range(g.n)]
+    last = {}
+    for i, (x, y, _) in enumerate(middles):
+        last[x] = last[y] = i
+    # tables kept for a later middle, `held` halves in all
+    kept: dict[int, dict] = {}
+    held = 0
+    for i, (x, y, cmask) in enumerate(middles):
+        pair = []
+        for v in dict.fromkeys((x, y)):
+            table = kept.get(v)
+            if table is None:
+                table = _halves(adj, v, h)
+                size = sum(map(len, table.values()))
+                if last[v] > i and held + size <= HALF_CEILING:
+                    kept[v] = table
+                    held += size
+            elif last[v] == i:
+                del kept[v]
+                held -= sum(map(len, table.values()))
+            pair.append(table)
+        # no half holds its own start, so x's avoids y and y's avoids x
+        if _meets(pair[0], pair[-1], cmask, 1 << x | 1 << y):
             return True
     return False
 

@@ -77,8 +77,8 @@ def test_rainbow_colored_path_graph_is_found():
 
 
 def test_d_star8_has_no_rainbow_p8_but_a_p7():
-    # the split at a middle vertex: about 1 s on a 2-CPU host, about 10 s
-    # with a walk from every start
+    # the split at a middle vertex: about 0.5 s on a 2-CPU host, about
+    # 10 s with a walk from every start
     assert not has_rainbow_path(d_star(8), 8)
     assert has_rainbow_path(d_star(8), 7)
 
@@ -410,12 +410,14 @@ def test_oracle_equivalence_on_mixed_corpus():
                     assert _witness_set(got) == _witness_set(expected)
 
 
-def _split_case(rng, proper):
-    """Graph on 7..9 vertices with colors from a palette of 4..9, each
-    edge a random color, or one free at both ends when `proper`."""
-    n = rng.randint(7, 9)
-    palette = rng.randint(4, 9)
-    p = rng.uniform(0.3, 0.6)
+def _split_case(rng, proper, sizes=(7, 9), palettes=(4, 9),
+                density=(0.3, 0.6)):
+    """Graph on `sizes` vertices with colors from a palette of `palettes`,
+    each pair an edge with a probability in `density`, each edge a random
+    color, or one free at both ends when `proper`."""
+    n = rng.randint(*sizes)
+    palette = rng.randint(*palettes)
+    p = rng.uniform(*density)
     used = [set() for _ in range(n)]
     edges = []
     for u, v in combinations(range(n), 2):
@@ -466,6 +468,103 @@ def test_split_path_test_on_subsets_and_relabelings_of_d_star6():
         assert got == bool(enumerate_rainbow_paths(g, 6))
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _grown_path_exists(g, ell):
+    """Brute force: grow every simple path vertex by vertex from every
+    start, keeping the colors distinct, until one has ell edges (on 10 or
+    11 vertices there are too many vertex sequences to filter)."""
+    nbr = g.neighbor_colors
+
+    def grow(seq, cols):
+        return len(cols) == ell or any(
+            grow(seq + [u], cols + [c]) for u, c in nbr[seq[-1]].items()
+            if u not in seq and c not in cols)
+
+    return any(grow([s], []) for s in range(g.n))
+
+
+def _middle_clash_cases(ell):
+    """(graph, verdict) pairs at odd ell = 2h + 1 decided by the join at
+    one middle edge (x, y, c), where an h-edge half from x and one from
+    y share no color and no vertex: in `clash` y's half uses c, in
+    `lollipop` x's half ends at y, and `rainbow_path` is `clash` with
+    rainbow colors. Each graph comes again with its vertices numbered
+    backwards, so that the deciding half lies once in the table of the
+    smaller end and once in that of the larger."""
+    h = ell // 2
+    clash = build(ell + 3, [(i, i + 1, i) for i in range(ell - 1)]
+                  + [(ell - 1, ell, h), (ell + 1, ell + 2, ell - 1)])
+    rainbow_path = build(ell + 1, [(i, i + 1, i) for i in range(ell)])
+    # the cycle 0..h closed by the middle edge (h, 0), the tail h..2h and
+    # one isolated vertex: ell vertices in the component, too few for a P_ell
+    lollipop = build(ell + 1, [(i, i + 1, i) for i in range(ell - 1)]
+                     + [(h, 0, ell - 1)])
+    cases = []
+    for g, verdict in ((clash, False), (rainbow_path, True),
+                       (lollipop, False)):
+        cases.append((g, verdict))
+        cases.append((build(g.n, [(g.n - 1 - u, g.n - 1 - v, c)
+                                  for u, v, c in g.edges]), verdict))
+    return cases
+
+
+@pytest.mark.parametrize("ell", [7, 9])
+def test_middle_edge_join_excludes_its_color_and_its_ends(ell):
+    for g, verdict in _middle_clash_cases(ell):
+        assert g.num_colors >= ell and g.n > ell
+        assert _grown_path_exists(g, ell) == verdict
+        assert has_rainbow_path(g, ell) == verdict
+
+
+@pytest.mark.parametrize("ell", [8, 9])
+def test_half_tables_match_brute_force_at_longer_lengths(ell):
+    # an even ell meets at a middle vertex, an odd one at a middle edge
+    rng = Random(60 + ell)
+    outcomes = set()
+    for i in range(30):
+        g = _split_case(rng, proper=i % 2 == 0, sizes=(ell + 1, ell + 2),
+                        palettes=(ell, ell + 2), density=(0.25, 0.45))
+        got = has_rainbow_path(g, ell)
+        assert got == _grown_path_exists(g, ell)
+        if g.num_colors >= ell:
+            outcomes.add((i % 2 == 0, got))
+    assert len(outcomes) == 4
+
+
+def _count_root_walks(monkeypatch) -> list:
+    """Patch `rainbow._walk` to record the start of each root walk."""
+    walk = rainbow._walk
+    roots = []
+
+    def counting(adj, path, *rest):
+        if len(path) == 1:
+            roots.append(path[0])
+        return walk(adj, path, *rest)
+
+    monkeypatch.setattr(rainbow, "_walk", counting)
+    return roots
+
+
+def test_each_half_table_is_walked_once(monkeypatch):
+    # one root walk per table, each table shared by the middle edges at
+    # its vertex
+    roots = _count_root_walks(monkeypatch)
+    g = d_star(7)
+    assert not has_rainbow_path(g, 7)
+    assert len(roots) <= g.n
+
+
+def test_capped_half_tables_keep_their_verdicts(monkeypatch):
+    monkeypatch.setattr(rainbow, "HALF_CEILING", 2 ** 10)
+    roots = _count_root_walks(monkeypatch)
+    for k, ell, verdict in ((6, 6, False), (7, 6, True), (8, 7, True),
+                            (7, 7, False)):
+        roots.clear()
+        g = d_star(k)
+        assert has_rainbow_path(g, ell) == verdict
+    # d_star(7)'s 64 tables of 210 halves no longer fit at once
+    assert len(roots) > g.n
 
 
 def _proper_extensions(g):
