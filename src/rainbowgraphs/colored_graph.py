@@ -43,7 +43,8 @@ class EdgeColoredGraph:
 
     def __init__(self, n: int, edges: tuple[tuple[int, int, int], ...],
                  num_colors: int):
-        # Not for direct use; go through build().
+        # Not for direct use; go through build(), or _normalized() for
+        # edges valid by construction.
         self.n = n
         self.edges = edges
         self.num_colors = num_colors
@@ -118,14 +119,22 @@ def build(n: int, edge_list) -> EdgeColoredGraph:
             raise ValueError(f"duplicate edge pair ({u}, {v})")
         seen_pairs.add((u, v))
         cleaned.append((u, v, c))
-    cleaned.sort()
+    return _normalized(n, cleaned)
+
+
+def _normalized(n: int, edges) -> EdgeColoredGraph:
+    """build()'s normalization alone, for edges valid by construction:
+    integer triples (u, v, c) with 0 <= u < v < n, no pair twice, and n
+    in 0..MAX_VERTICES. Sorts them by (u, v) and renumbers the colors by
+    first appearance, renaming none when they already read 0, 1, 2, ..."""
+    edges = sorted(edges)
     remap: dict[int, int] = {}
-    normalized = []
-    for u, v, c in cleaned:
+    for _, _, c in edges:
         if c not in remap:
             remap[c] = len(remap)
-        normalized.append((u, v, remap[c]))
-    return EdgeColoredGraph(n, tuple(normalized), len(remap))
+    if any(c != i for c, i in remap.items()):
+        edges = [(u, v, remap[c]) for u, v, c in edges]
+    return EdgeColoredGraph(n, tuple(edges), len(remap))
 
 
 def degree(g: EdgeColoredGraph, v: int) -> int:
@@ -353,7 +362,8 @@ def graph_of_key(key) -> EdgeColoredGraph:
     n, _, code = key
     # cell j of row i sits at flat index i*(i-1)/2 + j
     pairs = [(j, i) for i in range(n) for j in range(i)]
-    g = build(n, [(j, i, cell - 1) for (j, i), cell in zip(pairs, code) if cell])
+    g = _normalized(n, [(j, i, cell - 1)
+                        for (j, i), cell in zip(pairs, code) if cell])
     g._cache["key"] = key
     return g
 

@@ -15,7 +15,13 @@ witnesses are reproducible across runs and implementations.
 
 from __future__ import annotations
 
-from .colored_graph import MAX_VERTICES, EdgeColoredGraph, build
+from .colored_graph import MAX_VERTICES, EdgeColoredGraph, _normalized
+
+
+def _cube_edges(d: int) -> list[tuple[int, int, int]]:
+    # sorted by (u, v), so colors 0..d-1 first appear in order at vertex 0
+    return [(x, x | 1 << b, b)
+            for x in range(1 << d) for b in range(d) if not x >> b & 1]
 
 
 def hypercube(d: int) -> EdgeColoredGraph:
@@ -26,11 +32,7 @@ def hypercube(d: int) -> EdgeColoredGraph:
     """
     if not (1 <= d <= 16):
         raise ValueError(f"hypercube dimension must be in 1..16, got {d}")
-    size = 1 << d
-    edges = [(x, x | 1 << b, b)
-             for b in range(d)
-             for x in range(size) if not x >> b & 1]
-    return build(size, edges)
+    return _normalized(1 << d, _cube_edges(d))
 
 
 def d_star(ell: int) -> EdgeColoredGraph:
@@ -45,22 +47,31 @@ def d_star(ell: int) -> EdgeColoredGraph:
     d = ell - 1
     size = 1 << d
     full = size - 1
-    cube = hypercube(d)
-    edges = list(cube.edges)
+    edges = _cube_edges(d)
     edges.extend((x, x ^ full, d) for x in range(size // 2))
-    return build(size, edges)
+    return _normalized(size, edges)
+
+
+def _padded_union(gs, n: int) -> EdgeColoredGraph:
+    # the blocks side by side, isolated vertices up to n; normalized blocks
+    # shifted apart give valid edges
+    edges = []
+    offset = 0
+    for g in gs:
+        edges.extend((u + offset, v + offset, c) for u, v, c in g.edges)
+        offset += g.n
+    return _normalized(n, edges)
 
 
 def disjoint_union(gs) -> EdgeColoredGraph:
     """Vertex-disjoint union; vertex ids shifted, color ids kept per-block
     identical (blocks may share colors; rainbowness inside any connected
     subgraph is unaffected)."""
-    edges = []
-    offset = 0
-    for g in gs:
-        edges.extend((u + offset, v + offset, c) for u, v, c in g.edges)
-        offset += g.n
-    return build(offset, edges)
+    gs = list(gs)
+    n = sum(g.n for g in gs)
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+    return _padded_union(gs, n)
 
 
 def lower_bound_graph(n: int, ell: int) -> EdgeColoredGraph:
@@ -74,5 +85,4 @@ def lower_bound_graph(n: int, ell: int) -> EdgeColoredGraph:
             f"need at least {block_size} vertices for one block, got {n}")
     if n > MAX_VERTICES:
         raise ValueError(f"{n} vertices exceed the limit {MAX_VERTICES}")
-    return disjoint_union([d_star(ell)] * (n // block_size)
-                          + [build(n % block_size, [])])
+    return _padded_union([d_star(ell)] * (n // block_size), n)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from random import Random
 
-from .colored_graph import EdgeColoredGraph, build
-from .constructions import d_star, lower_bound_graph
+from .colored_graph import EdgeColoredGraph, _normalized
+from .constructions import _padded_union, d_star
 from .rainbow import has_rainbow_path
 
 
@@ -49,7 +49,7 @@ def random_proper_graph(rng: Random, n: int | None = None,
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         m = rng.randint(0, min(2 * n + 2, len(all_pairs)))
         pairs = rng.sample(all_pairs, m)
-    return build(n, _greedy_color(rng, n, pairs, rng.randint(2, 6)))
+    return _normalized(n, _greedy_color(rng, n, pairs, rng.randint(2, 6)))
 
 
 def random_colored_graph(rng: Random, max_n: int = 6) -> EdgeColoredGraph:
@@ -59,27 +59,29 @@ def random_colored_graph(rng: Random, max_n: int = 6) -> EdgeColoredGraph:
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     m = rng.randint(0, len(all_pairs))
     ncolors = rng.randint(1, max(1, m + 1))
-    return build(n, [(u, v, rng.randrange(ncolors))
-                     for u, v in rng.sample(all_pairs, m)])
+    return _normalized(n, [(u, v, rng.randrange(ncolors))
+                           for u, v in rng.sample(all_pairs, m)])
 
 
 def _edge_subset(rng: Random, g: EdgeColoredGraph) -> EdgeColoredGraph:
     p = rng.uniform(0.3, 1.0)
-    return build(g.n, [e for e in g.edges if rng.random() < p])
+    return _normalized(g.n, [e for e in g.edges if rng.random() < p])
 
 
 def rainbow_free_instances(rng: Random, ell: int,
                            count: int) -> list[EdgeColoredGraph]:
     """`count` properly colored graphs with no rainbow path of ell edges."""
-    out: list[EdgeColoredGraph] = [d_star(ell)]
-    block = 1 << (ell - 1)
+    block = d_star(ell)
+    out: list[EdgeColoredGraph] = [block]
+    size = block.n
     while len(out) < count:
         roll = rng.random()
         if roll < 0.45:
-            g = _edge_subset(rng, d_star(ell))
+            g = _edge_subset(rng, block)
         elif roll < 0.65:
-            n = rng.randint(block, min(2 * block + 4, 20))
-            g = _edge_subset(rng, lower_bound_graph(n, ell))
+            # two blocks and 4 capped at 20, but never below one block and 4
+            n = rng.randint(size, max(min(2 * size + 4, 20), size + 4))
+            g = _edge_subset(rng, _padded_union([block] * (n // size), n))
         else:
             g = None
             for _ in range(60):
@@ -88,6 +90,6 @@ def rainbow_free_instances(rng: Random, ell: int,
                     g = cand
                     break
             if g is None:
-                g = _edge_subset(rng, d_star(ell))
+                g = _edge_subset(rng, block)
         out.append(g)
     return out[:count]

@@ -16,8 +16,9 @@ vertex (even ell) or middle edge (odd ell) joins two halves with
 disjoint color and vertex masks. Each table is walked once while the
 tables kept between middles hold at most `HALF_CEILING` halves, so a
 vertex walks about Delta^(ell/2) halves where each start walked about
-Delta^ell paths. Below 6, or where one table could pass `HALF_CEILING`,
-the walk from every start runs instead.
+Delta^ell paths. Below 6, or where one table could take more bytes
+than `HALF_CEILING` halves on 64 vertices, the walk from every start
+runs instead.
 
 Each subgraph copy is stored once, in the orientation the walks produce:
 a path starts at its smaller endpoint; a cycle starts at its minimal
@@ -38,10 +39,12 @@ from .colored_graph import EdgeColoredGraph
 MAX_LEN = 62
 
 #: Largest number of halves `has_rainbow_path` may hold. One table can
-#: hold Delta * (Delta - 1)^(h - 1) halves of h edges; past the cap the
-#: walk from every start runs, which on a graph rich in rainbow paths stops
-#: at its first leaf. The tables kept for later middles hold at most the
-#: cap together; past it a table is walked again for each middle.
+#: hold Delta * (Delta - 1)^(h - 1) halves of h edges, each a vertex mask
+#: in a list, about n/8 + 40 bytes on n vertices; where that passes what
+#: the cap takes at 48 bytes a half (64 vertices), the walk from every
+#: start runs, which on a graph rich in rainbow paths stops at its first
+#: leaf. The tables kept for later middles hold at most the cap together;
+#: past it a table is walked again for each middle.
 HALF_CEILING = 1 << 18
 
 
@@ -211,8 +214,9 @@ def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     the tables kept between middles hold at most `HALF_CEILING` halves,
     and past that a table is walked again for each middle. Below 6 the
     split costs more than it saves, and where Delta * (Delta - 1)^(h - 1)
-    exceeds `HALF_CEILING` one table could be huge, so in both cases a
-    walk runs from every start and stops at the first full-length path.
+    halves of about n/8 + 40 bytes pass 48 * `HALF_CEILING` bytes one
+    table could be huge, so in both cases a walk runs from every start
+    and stops at the first full-length path.
     """
     _check_args(ell, 1)
     key = ("haspath", ell)
@@ -267,7 +271,8 @@ def _has_path(g: EdgeColoredGraph, ell: int) -> bool:
     adj = g.adjacency
     h = ell // 2
     top = max(map(len, adj))
-    if ell < 6 or top * (top - 1) ** (h - 1) > HALF_CEILING:
+    if ell < 6 or (top * (top - 1) ** (h - 1) * (g.n // 8 + 40)
+                   > 48 * HALF_CEILING):
         return any(_walk(adj, [s], [], 0, ell, _stop) for s in range(g.n))
     # the middles (x, y, color mask): each vertex (m, m, 0) at even ell,
     # each edge (x, y, 1 << c) with x < y at odd ell

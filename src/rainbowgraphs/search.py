@@ -67,9 +67,10 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .colored_graph import (EdgeColoredGraph, build, canonical_form,
-                            canonical_generators, canonical_key, degree,
-                            graph_of_key, is_properly_colored)
+from .colored_graph import (EdgeColoredGraph, _normalized, build,
+                            canonical_form, canonical_generators,
+                            canonical_key, degree, graph_of_key,
+                            is_properly_colored)
 from .rainbow import (MAX_LEN, enumerate_rainbow_cycles, has_rainbow_path,
                       has_rainbow_path_through)
 
@@ -189,8 +190,9 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
     rainbow P_ell runs through its new edge; that is decided on g's own
     adjacency, and only feasible children are built. The new color is
     free at u and at v (its bit is clear in both endpoints' color masks),
-    so every child is proper. Lazy, so a node budget stops the work at
-    the exact candidate that breaches it."""
+    so every child is proper. A child adds a non-edge u < v to g's valid
+    edges, so it is normalized without build()'s checks. Lazy, so a node
+    budget stops the work at the exact candidate that breaches it."""
     n, nbr, edges = g.n, g.neighbor_colors, g.edges
     k = g.num_colors
     new = [k] if p.colors is None or k < p.colors else []
@@ -252,7 +254,7 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
             elif has_rainbow_path_through(g, u, v, c, p.ell):
                 yield "pruned_infeasible"
             else:
-                yield build(n, edges + ((u, v, c),))
+                yield _normalized(n, edges + ((u, v, c),))
 
 
 def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:

@@ -139,6 +139,36 @@ def test_guards_and_the_empty_graph(call, expected):
         assert call() == expected
 
 
+def test_build_validates_then_normalizes_once(monkeypatch):
+    # build() runs its checks over a one-shot generator, then hands the
+    # cleaned pairs to the one normalization routine; a malformed entry
+    # of any kind stops it first, with the message the checks give
+    calls = []
+    normalize = colored_graph._normalized
+
+    def recording(n, edges):
+        calls.append((n, list(edges)))
+        return normalize(n, edges)
+
+    monkeypatch.setattr(colored_graph, "_normalized", recording)
+    g = build(4, (e for e in [(3, 2, 7), (1, 0, 7), (2, 0, -1)]))
+    assert g.edges == ((0, 1, 0), (0, 2, 1), (2, 3, 0))
+    assert g.num_colors == 2
+    assert calls == [(4, [(2, 3, 7), (0, 1, 7), (0, 2, -1)])]
+    calls.clear()
+    for entries, message in [
+        ([(0, 1)], r"^edge entry must be a \(u, v, c\) triple: \(0, 1\)$"),
+        ([5], r"^edge entry must be a \(u, v, c\) triple: 5$"),
+        ([(0, 1, "a")], r"^edge entry must contain integers: \(0, 1, 'a'\)$"),
+        ([(2, 2, 0)], r"^loop edge at vertex 2$"),
+        ([(0, 4, 0)], r"^vertex out of range 0..3 in edge \(0, 4, 0\)$"),
+        ([(0, 1, 0), (1, 0, 1)], r"^duplicate edge pair \(0, 1\)$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build(4, (e for e in entries))
+    assert not calls
+
+
 # ------------------------------------------------------- basic queries
 
 

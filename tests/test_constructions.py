@@ -5,6 +5,7 @@ were independently confirmed with the naive reference enumerator before
 being frozen here; the acceptance suite re-derives them end to end.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -140,3 +141,32 @@ def test_lower_bound_graph_validation():
     with pytest.raises(ValueError, match="exceed the limit"):
         lower_bound_graph((1 << 16) + 1, 3)
     assert lower_bound_graph(1 << 16, 3).n == 1 << 16  # at the limit
+
+
+#: SHA-256 over repr((n, num_colors, edges)) of `_frozen_constructions()`,
+#: computed with every construction still going through build().
+CONSTRUCTION_DIGEST = (
+    "2590673b60cbc888f905815506e3792308a92bf7b28fcc79cdd2138a7034cd27")
+
+
+def _frozen_constructions():
+    yield from (hypercube(d) for d in range(1, 13))
+    yield from (d_star(ell) for ell in range(3, 13))
+    for ell in range(3, 8):
+        block = 1 << (ell - 1)
+        for n in (block, block + 1, 2 * block - 1, 3 * block + 2):
+            yield lower_bound_graph(n, ell)
+    # mixed blocks: colors shared, an empty block, one renumbered
+    yield disjoint_union([hypercube(3), d_star(4), build(3, []),
+                          build(4, [(3, 0, 9), (1, 2, -4)]), d_star(3)])
+
+
+def test_construction_bytes_are_frozen():
+    # the constructions normalize their edges without build()'s checks;
+    # each graph must still be what build() makes of its own edges
+    h = hashlib.sha256()
+    for g in _frozen_constructions():
+        again = build(g.n, g.edges)
+        assert again == g and again.num_colors == g.num_colors
+        h.update(repr((g.n, g.num_colors, g.edges)).encode())
+    assert h.hexdigest() == CONSTRUCTION_DIGEST

@@ -6,6 +6,9 @@ rainbowgraphs.reference before being frozen here.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -13,6 +16,7 @@ from random import Random
 
 import pytest
 
+import rainbowgraphs
 from rainbowgraphs import rainbow
 from rainbowgraphs.colored_graph import build, is_properly_colored
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
@@ -102,6 +106,28 @@ def test_large_cube_path_test_keeps_no_half_table():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+def test_large_cube_path_test_weighs_its_half_tables_in_bytes():
+    # Q_12 at 11 could hold 12 * 11^4 halves of 5 edges in one table,
+    # under HALF_CEILING, but each vertex mask spans 4,096 bits: the
+    # table would take about 80 MB where the walk from the first start
+    # stops at its first leaf. Measured in a fresh process (about 23 MB
+    # for the interpreter and the cube), under a parent of its own, whose
+    # only waited-for child it is.
+    check = ("from rainbowgraphs.constructions import hypercube\n"
+             "from rainbowgraphs.rainbow import has_rainbow_path\n"
+             "assert has_rainbow_path(hypercube(12), 11)\n")
+    measure = ("import resource, subprocess, sys\n"
+               "subprocess.run([sys.executable, '-c', sys.argv[1]],\n"
+               "               check=True)\n"
+               "usage = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+               "print(usage.ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(rainbowgraphs.__file__))
+    out = subprocess.run([sys.executable, "-c", measure, check], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) < 35 * 1024  # KiB
 
 
 def test_length_above_color_count_returns_before_any_walk(monkeypatch):
