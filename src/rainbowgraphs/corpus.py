@@ -20,18 +20,24 @@ def _greedy_color(rng: Random, n: int, pairs, start_palette: int):
     """Proper coloring by randomized greedy: each edge takes a random
     feasible color from the current palette, growing it when forced."""
     palette = max(1, start_palette)
-    used = [set() for _ in range(n)]
+    used = [0] * n  # bit c set: color c is taken at the vertex
     edges = []
     order = list(pairs)
     rng.shuffle(order)
     for u, v in order:
-        allowed = [c for c in range(palette) if c not in used[u] and c not in used[v]]
+        # the palette's colors free at both ends, in increasing order
+        free = ~(used[u] | used[v]) & ((1 << palette) - 1)
+        allowed = []
+        while free:
+            low = free & -free
+            allowed.append(low.bit_length() - 1)
+            free ^= low
         if not allowed:
             allowed = [palette]
             palette += 1
         c = rng.choice(allowed)
-        used[u].add(c)
-        used[v].add(c)
+        used[u] |= 1 << c
+        used[v] |= 1 << c
         edges.append((u, v, c))
     return edges
 

@@ -4,11 +4,22 @@ A rainbow subgraph has pairwise distinct edge colors. P_ell denotes the
 path with ell edges (ell+1 vertices), C_ell the cycle with ell edges.
 All searches run on one DFS kernel, `_walk`, which extends a simple path
 edge by edge under a color bitmask and hands each full-length walk to a
-leaf callback. A vertex put at the front of the path is never visited,
-which keeps the far end of a fixed-endpoint path off the walk. It works
-on any colored graph, proper or not; properness is only a hypothesis of
-the checker module. A rainbow P_ell needs ell colors and ell+1 vertices,
-a C_ell ell of each, so a length above either count returns at once.
+leaf callback. It takes the last edge in a loop that calls the leaf
+itself, so a full-length walk costs a call but no recursive frame. A
+vertex put at the front of the path is never visited, which keeps the
+far end of a fixed-endpoint path off the walk. It works on any colored
+graph, proper or not; properness is only a hypothesis of the checker
+module. A rainbow P_ell needs ell colors and ell+1 vertices, a C_ell ell
+of each, so a length above either count returns at once.
+
+Cycles close on per-root tables: for a root r, the minimal vertex of its
+cycles, each vertex x lists the common neighbors w of r and x above r
+whose two closing edges differ in color. The walk stops three edges
+short of a cycle, and its leaf takes one more edge to x and scans x's
+list, so closing edges are looked up once per root, not once per walk
+that reaches x. The search counts the cycles a new edge (u, v, c) makes
+with one walk from [u, v] that closes to u
+(`count_rainbow_cycles_through`).
 
 `has_rainbow_path` at ell >= 6 meets in the middle: one table per
 vertex holds its rainbow halves of ell//2 edges, and a path's middle
@@ -35,7 +46,8 @@ from typing import NamedTuple
 from .colored_graph import EdgeColoredGraph
 
 #: Ceiling on ell: it bounds `_walk`'s recursion depth, one frame per
-#: edge (Python ints do not overflow, and color masks index colors).
+#: edge but the last (Python ints do not overflow, and color masks index
+#: colors).
 MAX_LEN = 62
 
 #: Largest number of halves `has_rainbow_path` may hold. One table can
@@ -103,7 +115,9 @@ def _walk(adj, path: list, cols: list, cmask: int, k: int, leaf) -> bool:
     bits of `cmask`) by exactly k edges of `adj` with new vertices and
     unused colors, calling leaf(path, cols, cmask) on each full-length walk.
     A vertex put at the front of `path` is never visited. A truthy leaf
-    stops the walk at once, with `path` and `cols` unrestored."""
+    stops the walk at once, with `path` and `cols` unrestored. The loop
+    that takes the last edge calls the leaf itself, so a full-length walk
+    costs no frame of its own."""
     if not k:
         return leaf(path, cols, cmask)
     for u, c in adj[path[-1]]:
@@ -111,7 +125,8 @@ def _walk(adj, path: list, cols: list, cmask: int, k: int, leaf) -> bool:
             continue
         path.append(u)
         cols.append(c)
-        if _walk(adj, path, cols, cmask | 1 << c, k - 1, leaf):
+        if (leaf(path, cols, cmask | 1 << c) if k == 1 else
+                _walk(adj, path, cols, cmask | 1 << c, k - 1, leaf)):
             return True
         cols.pop()
         path.pop()
@@ -154,29 +169,42 @@ def _is_bipartite(nbr) -> bool:
 
 
 def _cycles(g: EdgeColoredGraph, ell: int) -> list:
-    # roots r in decreasing order, each the minimal vertex of its cycles:
-    # walk ell-2 edges on `above`, which then holds only the neighbors
-    # above r, and let the leaf close the last two edges itself, to a
-    # neighbor w of r above path[1] (one direction of each cycle)
+    # roots r in decreasing order, each the minimal vertex of its cycles,
+    # so `above` holds only the neighbors above r. Per root, closers[x]
+    # lists (w, c, d, mask) for each common neighbor w of r and x, both
+    # above r, whose closing colors c of (x, w) and d of (w, r) differ.
+    # The walk takes ell-3 edges on `above`; its leaf takes the (ell-2)-th
+    # edge to x and closes through closers[x] to a w above path[1], or
+    # above x at ell = 3 (one direction of each cycle)
     nbr = g.neighbor_colors
     # a bipartite graph has no odd cycle: no walk of odd ell can close;
     # a rainbow C_ell needs ell distinct colors and ell vertices
     if ell > min(g.num_colors, g.n) or ell % 2 and _is_bipartite(nbr):
         return []
     above: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    closers: dict[int, list] = {}
     found = []
 
     def leaf(path, cols, cmask):
-        back, low = nbr[path[0]], path[1]
-        for w, c in above[path[-1]]:
-            d = back.get(w)
-            if (d is not None and w > low and c != d
-                    and not (cmask >> c | cmask >> d) & 1 and w not in path):
-                found.append(RainbowWitness("cycle", (*path, w),
-                                            (*cols, c, d)))
+        for x, e in above[path[-1]]:
+            row = closers.get(x)
+            if row is None or cmask >> e & 1 or x in path:
+                continue
+            used = cmask | 1 << e
+            low = path[1] if ell > 3 else x
+            for w, c, d, mask in row:
+                if not used & mask and w > low and w not in path:
+                    found.append(RainbowWitness("cycle", (*path, x, w),
+                                                (*cols, e, c, d)))
 
     for r in reversed(range(g.n)):
-        _walk(above, [r], [], 0, ell - 2, leaf)
+        closers.clear()
+        for w, d in above[r]:
+            for x, c in above[w]:
+                if c != d:
+                    closers.setdefault(x, []).append((w, c, d, 1 << c | 1 << d))
+        if closers:
+            _walk(above, [r], [], 0, ell - 3, leaf)
         for u, c in nbr[r].items():
             above[u].append((r, c))
     found.sort()
@@ -329,6 +357,29 @@ def has_rainbow_path_through(g: EdgeColoredGraph, u: int, v: int, c: int,
         if _walk(adj, [v, u], [c], 1 << c, a, leaf):
             return True
     return False
+
+
+def count_rainbow_cycles_through(g: EdgeColoredGraph, u: int, v: int, c: int,
+                                 ell: int) -> int:
+    """Number of rainbow cycles with exactly ell edges that adding the
+    non-edge (u, v) with color c to g creates: the rainbow paths of g with
+    ell - 1 edges from v back to u that avoid c. One walk of ell - 2
+    edges from [u, v], with only c used, closes each to u."""
+    _check_args(ell, 3)
+    # the child's colors: those of g, plus c if it is new
+    if ell > min(g.num_colors + (c >= g.num_colors), g.n):
+        return 0
+    back = g.neighbor_colors[u]
+    count = 0
+
+    def leaf(path, cols, cmask):
+        nonlocal count
+        d = back.get(path[-1])
+        if d is not None and not cmask >> d & 1:
+            count += 1
+
+    _walk(g.adjacency, [u, v], [c], 1 << c, ell - 2, leaf)
+    return count
 
 
 def count_per_edge(g: EdgeColoredGraph, ell: int) -> dict[tuple[int, int], int]:

@@ -50,7 +50,11 @@ the tables cached on it; optima are kept as keys and decoded at the
 end. Node counts count every candidate tried.
 
 Objectives: max_edges and max_rainbow_cycles, both under the rainbow-path
-freeness constraint. No bound cuts a representative: a cut by the
+freeness constraint. Rainbow C_ell counts are carried, not recounted: a
+new class's count is its parent's plus the cycles through its new edge
+(rainbow.count_rainbow_cycles_through, one walk on the parent), so
+evaluating a class reads an int; only the witness is recounted, on a
+fresh build. No bound cuts a representative: a cut by the
 paper's per-edge capacity (2*ell-3)^(ell-2) times the edges still
 addable can beat the incumbent only when at most a few edges are
 addable, which at these n spares no measurable work. `pruned_bound`
@@ -71,7 +75,8 @@ from .colored_graph import (EdgeColoredGraph, _normalized, build,
                             canonical_form, canonical_generators,
                             canonical_key, degree, graph_of_key,
                             is_properly_colored)
-from .rainbow import (MAX_LEN, enumerate_rainbow_cycles, has_rainbow_path,
+from .rainbow import (MAX_LEN, count_rainbow_cycles_through,
+                      enumerate_rainbow_cycles, has_rainbow_path,
                       has_rainbow_path_through)
 
 _OBJECTIVES = ("max_edges", "max_rainbow_cycles")
@@ -136,10 +141,15 @@ class ColorProbeTable:
     exhaustive: bool
 
 
-def _objective_value(g: EdgeColoredGraph, p: SearchProblem) -> int:
+def _objective_value(g: EdgeColoredGraph, p: SearchProblem,
+                     carried: int | None = None) -> int:
+    # `carried` is the cycle count the search carried to g's class; with
+    # none, as in the witness re-check, the cycles are enumerated afresh
     if p.objective == "max_edges":
         return g.m
-    return len(enumerate_rainbow_cycles(g, p.ell))
+    if carried is None:
+        return len(enumerate_rainbow_cycles(g, p.ell))
+    return carried
 
 
 def _orbit_maps(g: EdgeColoredGraph, gens: bytes):
@@ -191,8 +201,9 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
     adjacency, and only feasible children are built. The new color is
     free at u and at v (its bit is clear in both endpoints' color masks),
     so every child is proper. A child adds a non-edge u < v to g's valid
-    edges, so it is normalized without build()'s checks. Lazy, so a node
-    budget stops the work at the exact candidate that breaches it."""
+    edges, so it is normalized without build()'s checks, and it carries
+    that edge, in g's colors, as _cache["added"]. Lazy, so a node budget
+    stops the work at the exact candidate that breaches it."""
     n, nbr, edges = g.n, g.neighbor_colors, g.edges
     k = g.num_colors
     new = [k] if p.colors is None or k < p.colors else []
@@ -254,7 +265,9 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
             elif has_rainbow_path_through(g, u, v, c, p.ell):
                 yield "pruned_infeasible"
             else:
-                yield _normalized(n, edges + ((u, v, c),))
+                child = _normalized(n, edges + ((u, v, c),))
+                child._cache["added"] = (u, v, c)
+                yield child
 
 
 def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:
@@ -274,18 +287,23 @@ def _run(p: SearchProblem):
     truncated = None
 
     # a level is the sorted list of its classes' keys; `gens_of` holds the
-    # packed generators of those with any, and most classes have none
-    level = [canonical_form(build(p.n, []))[0]]
+    # packed generators of those with any, and most classes have none;
+    # `counts` holds each class's rainbow C_ell count, its parent's plus
+    # the cycles through its new edge (max_edges runs hold none)
+    root = canonical_form(build(p.n, []))[0]
+    level = [root]
     gens_of: dict = {}
+    counts = {root: 0} if p.objective == "max_rainbow_cycles" else None
     while level and truncated is None:
         stats["levels"] += 1
-        children: set = set()
+        children: dict = {}
         symmetric: dict = {}
         for ck in level:
             g = graph_of_key(ck)
+            count = None if counts is None else counts[ck]
             if _eligible(g, p):
                 stats["evaluated"] += 1
-                val = _objective_value(g, p)
+                val = _objective_value(g, p, count)
                 k = g.num_colors
                 if per_k.get(k, -1) < val:
                     per_k[k] = val
@@ -306,7 +324,9 @@ def _run(p: SearchProblem):
                 if key in children:
                     stats["pruned_duplicate"] += 1
                     continue
-                children.add(key)
+                children[key] = None if count is None else \
+                    count + count_rainbow_cycles_through(
+                        g, *child._cache["added"], p.ell)
                 gens = canonical_generators(child)
                 if gens:
                     symmetric[key] = bytes(chain.from_iterable(gens))
@@ -316,6 +336,8 @@ def _run(p: SearchProblem):
             if truncated is not None:
                 break
         level, gens_of = sorted(children), symmetric
+        if counts is not None:
+            counts = children
 
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated

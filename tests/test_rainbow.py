@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from itertools import combinations, permutations, product
+from math import factorial
 from random import Random
 
 import pytest
@@ -20,8 +21,8 @@ import rainbowgraphs
 from rainbowgraphs import rainbow
 from rainbowgraphs.colored_graph import build, is_properly_colored
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
-from rainbowgraphs.corpus import (rainbow_free_instances, random_colored_graph,
-                                  random_proper_graph)
+from rainbowgraphs.corpus import (_greedy_color, rainbow_free_instances,
+                                  random_colored_graph, random_proper_graph)
 from rainbowgraphs.rainbow import (HALF_CEILING, MAX_LEN, RainbowWitness,
                                    count_per_edge,
                                    enumerate_rainbow_cycles,
@@ -171,6 +172,124 @@ def test_d_star5_has_192_rainbow_c5():
 def test_improper_triangle_accepted_but_not_rainbow():
     g = build(3, [(0, 1, 0), (1, 2, 0), (0, 2, 1)])
     assert enumerate_rainbow_cycles(g, 3) == []
+
+
+def _dense_graphs(rng, count, n):
+    """Dense seeded graphs on n vertices: proper (greedy colors) and
+    improper (random colors from a small palette), half each."""
+    graphs = []
+    for i in range(count):
+        pairs = [pair for pair in combinations(range(n), 2)
+                 if rng.random() < 0.7]
+        if i % 2:
+            graphs.append(build(n, [(u, v, rng.randrange(n))
+                                    for u, v in pairs]))
+        else:
+            graphs.append(build(n, _greedy_color(rng, n, pairs, n - 1)))
+    return graphs
+
+
+@pytest.mark.parametrize("ell", range(3, 9))
+def test_cycles_match_naive_on_proper_and_improper_graphs(ell):
+    rng = Random(2500 + ell)
+    graphs = _dense_graphs(rng, 8, 8)
+    graphs += [random_colored_graph(rng, max_n=8) for _ in range(20)]
+    graphs += [random_proper_graph(rng, n=rng.randint(3, 8))
+               for _ in range(20)]
+    graphs += [d_star(3), d_star(4)]
+    found = improper = 0
+    for g in graphs:
+        expected = naive_rainbow_cycles(g, ell)
+        assert rainbow._cycles(g, ell) == expected, (g.n, g.edges)
+        found += len(expected)
+        improper += bool(expected) and not is_properly_colored(g)
+    assert found and improper
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_d_star_cycle_count_and_witnesses(k):
+    # (k-1)! * 2^(k-2) rainbow C_k, each a valid witness of its own copy;
+    # the 322,560 of d_star(8) are counted, a seeded sample re-checked
+    g = d_star(k)
+    cycles = rainbow._cycles(g, k)
+    assert len(cycles) == factorial(k - 1) * 2 ** (k - 2)
+    sample = cycles if k < 8 else Random(2508).sample(cycles, 5000)
+    assert all(verify_witness(g, w) for w in sample)
+    assert len({_edge_set(w) for w in sample}) == len(sample)
+
+
+def test_cycle_closers_at_the_edge_cases():
+    # ell = 3: the walk takes no edge, and its leaf closes the triangle
+    tri = build(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
+    assert len(rainbow._cycles(tri, 3)) == 1
+    assert rainbow._cycles(tri, 3) == naive_rainbow_cycles(tri, 3)
+    # the common neighbor 3 of root 0 and vertex 2 closes with two edges
+    # of color 2, so the square is not rainbow
+    square = build(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 2)])
+    assert rainbow._cycles(square, 4) == []
+    # the walk reaches each cycle in both directions and keeps one
+    for ell in (4, 5, 6):
+        ring = build(ell, [(i, (i + 1) % ell, i) for i in range(ell)])
+        assert len(rainbow._cycles(ring, ell)) == 1
+        assert rainbow._cycles(ring, ell) == naive_rainbow_cycles(ring, ell)
+
+
+def _naive_walk(adj, path, cols, cmask, k, out):
+    """Recursive reference of `_walk`: each extension of `path` by k
+    edges with new vertices and unused colors, in adjacency order."""
+    if not k:
+        out.append((tuple(path), tuple(cols), cmask))
+        return
+    for u, c in adj[path[-1]]:
+        if not cmask >> c & 1 and u not in path:
+            _naive_walk(adj, path + [u], cols + [c], cmask | 1 << c, k - 1,
+                        out)
+
+
+def test_walk_hands_its_leaf_the_naive_sequence():
+    rng = Random(2503)
+    graphs = [random_proper_graph(rng, n=rng.randint(2, 9))
+              for _ in range(30)]
+    graphs += [random_colored_graph(rng, max_n=7) for _ in range(30)]
+    graphs += [d_star(4)]
+    leaves = 0
+    for g in graphs:
+        adj = g.adjacency
+        for s in range(g.n):
+            starts = [([s], [], 0)]
+            # a vertex put at the front, with its edge's color used
+            starts += [([t, s], [c], 1 << c) for t, c in adj[s][:1]]
+            for path, cols, cmask in starts:
+                for k in range(5):
+                    expected, got = [], []
+                    _naive_walk(adj, path, cols, cmask, k, expected)
+
+                    def leaf(p, cs, m):
+                        got.append((tuple(p), tuple(cs), m))
+
+                    p, cs = list(path), list(cols)
+                    assert not rainbow._walk(adj, p, cs, cmask, k, leaf)
+                    assert got == expected
+                    assert (p, cs) == (path, cols)
+                    leaves += len(got)
+    assert leaves
+
+
+def test_walk_stops_at_a_truthy_leaf_with_its_path_unrestored():
+    adj = d_star(5).adjacency
+    for k in range(5):
+        expected, seen = [], []
+        _naive_walk(adj, [0], [], 0, k, expected)
+
+        def leaf(p, cs, m):
+            seen.append((tuple(p), tuple(cs), m))
+            return len(seen) == 3 or k == 0
+
+        path, cols = [0], []
+        assert rainbow._walk(adj, path, cols, 0, k, leaf)
+        assert seen == expected[:len(seen)]
+        assert len(seen) == (1 if k == 0 else 3)
+        assert (tuple(path), tuple(cols)) == seen[-1][:2]
 
 
 def test_cycle_walk_is_not_quadratic_at_a_root():

@@ -18,9 +18,10 @@ from random import Random
 
 import pytest
 
+from rainbowgraphs import search
 from rainbowgraphs.colored_graph import (build, canonical_form,
                                          canonical_generators, canonical_key,
-                                         is_properly_colored)
+                                         graph_of_key, is_properly_colored)
 from rainbowgraphs.constructions import d_star, lower_bound_graph
 from rainbowgraphs.corpus import rainbow_free_instances, random_proper_graph
 from rainbowgraphs.graph_io import result_to_dict
@@ -304,6 +305,32 @@ def test_search_problem_validation():
     for budget in (float("nan"), -1):
         with pytest.raises(ValueError, match="time budget"):
             SearchProblem(4, 3, "max_edges", time_budget=budget)
+
+
+def test_carried_cycle_counts_match_a_fresh_count(monkeypatch):
+    # each evaluated class reads the count carried from its parent: the
+    # parent's plus the rainbow C_ell through the new edge; it must equal
+    # a fresh enumeration on the class's canonical graph. With colors
+    # None every class is evaluated; with 2 or 3 the eligible ones are.
+    objective = search._objective_value
+    seen = []
+
+    def recording(g, p, carried=None):
+        if carried is not None:
+            seen.append((canonical_key(g), p.ell, carried))
+        return objective(g, p, carried)
+
+    monkeypatch.setattr(search, "_objective_value", recording)
+    for n in range(3, 8):
+        for ell in (3, 4, 5):
+            for colors in (None, 2, 3):
+                solve(SearchProblem(n, ell, "max_rainbow_cycles",
+                                    colors=colors, node_budget=2000))
+    for key, ell, carried in seen:
+        assert carried == len(enumerate_rainbow_cycles(graph_of_key(key),
+                                                       ell)), (key, ell)
+    assert len(seen) > 1000
+    assert sum(carried > 0 for *_, carried in seen) > 100
 
 
 def test_witness_recheck_ignores_counts_cached_on_the_witness():
