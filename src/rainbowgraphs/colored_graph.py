@@ -58,17 +58,24 @@ class EdgeColoredGraph:
 
     @property
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex (neighbor, color) lists of `neighbor_colors`, so in
-        ascending neighbor order; the table the rainbow walks read."""
+        """Per-vertex (neighbor, color) lists, built lazily from `edges`:
+        sorted by (u, v), they give each row its smaller neighbors first,
+        then its larger ones, so each row ascends. The only table the
+        rainbow walks read."""
         if self._adj is None:
-            self._adj = [list(row.items()) for row in self.neighbor_colors]
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for u, v, c in self.edges:
+                adj[u].append((v, c))
+                adj[v].append((u, c))
+            self._adj = adj
         return self._adj
 
     @property
     def neighbor_colors(self) -> list[dict[int, int]]:
-        """Per-vertex dict neighbor -> color, built lazily; the only table
-        built from `edges`, whose (u, v) order keeps each row ascending.
-        Degree, properness, canonical form and edge lookups read it."""
+        """Per-vertex dict neighbor -> color, built lazily from `edges`
+        as `adjacency` is (neither table is built from the other), so
+        each row's keys ascend. Degree, properness, canonical form and
+        edge lookups read it."""
         if self._nbr is None:
             nbr: list[dict[int, int]] = [{} for _ in range(self.n)]
             for u, v, c in self.edges:

@@ -7,19 +7,23 @@ edge by edge under a color bitmask and hands each full-length walk to a
 leaf callback. It takes the last edge in a loop that calls the leaf
 itself, so a full-length walk costs a call but no recursive frame. A
 vertex put at the front of the path is never visited, which keeps the
-far end of a fixed-endpoint path off the walk. It works on any colored
-graph, proper or not; properness is only a hypothesis of the checker
-module. A rainbow P_ell needs ell colors and ell+1 vertices, a C_ell ell
-of each, so a length above either count returns at once.
+far end of a fixed-endpoint path off the walk. Every walk reads the
+graph's `adjacency` alone, never its neighbor dicts. It works on any
+colored graph, proper or not; properness is only a hypothesis of the
+checker module. A rainbow P_ell needs ell colors and ell+1 vertices, a
+C_ell ell of each, so a length above either count returns at once.
 
-Cycles close on per-root tables: for a root r, the minimal vertex of its
-cycles, each vertex x lists the common neighbors w of r and x above r
-whose two closing edges differ in color. The walk stops three edges
-short of a cycle, and its leaf takes one more edge to x and scans x's
-list, so closing edges are looked up once per root, not once per walk
-that reaches x. The search counts the cycles a new edge (u, v, c) makes
-with one walk from [u, v] that closes to u
-(`count_rainbow_cycles_through`).
+Walks to a fixed end close on a table of the 2-edge paths into it
+(`_closers`): each vertex z lists the middles w of the paths z-w-r into
+the end r whose two edges differ in color. The walk stops two edges
+short, and its leaf scans the row of its last vertex, so closing edges
+are looked up once per end, not once per walk. For cycles the end is
+the root r, the minimal vertex of its cycles, and the table holds only
+vertices above r; the walk stops three edges short and its leaf takes
+one more edge first. For paths between x and y the end is y, and the
+paths through x are left out of the table. The search counts the
+cycles a new edge (u, v, c) makes as the paths between v and u that
+avoid c (`count_rainbow_cycles_through`).
 
 `has_rainbow_path` at ell >= 6 meets in the middle: one table per
 vertex holds its rainbow halves of ell//2 edges, and a path's middle
@@ -32,10 +36,12 @@ than `HALF_CEILING` halves on 64 vertices, the walk from every start
 runs instead.
 
 Each subgraph copy is stored once, in the orientation the walks produce:
-a path starts at its smaller endpoint; a cycle starts at its minimal
-vertex and goes next to the smaller of its two neighbors. Each witness
-is built once, in the walk's leaf, and each list is sorted before
-return, so output is deterministic. Enumeration runs in the caller's
+a path starts at its smaller endpoint, its leaf taking the last edge only
+to an end above the start; a cycle starts at its minimal vertex and goes
+next to the smaller of its two neighbors. Each witness is built once, in
+the walk's leaf, through the tuple constructor (the named tuple's own
+`__new__` costs twice as much), and each list is sorted before return,
+so output is deterministic. Enumeration runs in the caller's
 thread; `threads` is validated and changes nothing.
 """
 
@@ -139,27 +145,32 @@ def enumerate_rainbow_paths(g: EdgeColoredGraph, ell: int,
     _check_args(ell, 1, threads)
     if ell > min(g.num_colors, g.n - 1):
         return []
+    adj = g.adjacency
     found = []
 
     def leaf(path, cols, cmask):
-        if path[-1] > path[0]:
-            found.append(RainbowWitness("path", tuple(path), tuple(cols)))
+        # the last edge, only to an end above the start: each copy once
+        s = path[0]
+        for u, c in adj[path[-1]]:
+            if u > s and not cmask >> c & 1 and u not in path:
+                found.append(tuple.__new__(RainbowWitness, (
+                    "path", (*path, u), (*cols, c))))
 
     for s in range(g.n):
-        _walk(g.adjacency, [s], [], 0, ell, leaf)
+        _walk(adj, [s], [], 0, ell - 1, leaf)
     found.sort()
     return found
 
 
-def _is_bipartite(nbr) -> bool:
+def _is_bipartite(adj) -> bool:
     # breadth-first 2-coloring, given up at the first clash
-    side = [-1] * len(nbr)
-    for s in range(len(nbr)):
+    side = [-1] * len(adj)
+    for s in range(len(adj)):
         if side[s] < 0:
             side[s] = 0
             queue = [s]
             for x in queue:
-                for y in nbr[x]:
+                for y, _ in adj[x]:
                     if side[y] < 0:
                         side[y] = 1 - side[x]
                         queue.append(y)
@@ -168,21 +179,34 @@ def _is_bipartite(nbr) -> bool:
     return True
 
 
+def _closers(adj, r: int, skip: int = -1) -> dict[int, list]:
+    # the 2-edge paths z-w-r into r, w not `skip`, whose colors c of
+    # (z, w) and d of (w, r) differ (so z is not r): closers[z] lists
+    # (w, c, d, mask), mask the two color bits. A walk whose last vertex
+    # is z closes through z's row; the table costs the sum of deg(w) over
+    # w in N(r)
+    closers: dict[int, list] = {}
+    for w, d in adj[r]:
+        if w != skip:
+            for z, c in adj[w]:
+                if c != d:
+                    closers.setdefault(z, []).append((w, c, d, 1 << c | 1 << d))
+    return closers
+
+
 def _cycles(g: EdgeColoredGraph, ell: int) -> list:
     # roots r in decreasing order, each the minimal vertex of its cycles,
-    # so `above` holds only the neighbors above r. Per root, closers[x]
-    # lists (w, c, d, mask) for each common neighbor w of r and x, both
-    # above r, whose closing colors c of (x, w) and d of (w, r) differ.
-    # The walk takes ell-3 edges on `above`; its leaf takes the (ell-2)-th
-    # edge to x and closes through closers[x] to a w above path[1], or
-    # above x at ell = 3 (one direction of each cycle)
-    nbr = g.neighbor_colors
+    # so `above` holds only the neighbors above r, and r's closers on it
+    # list the common neighbors w of r and x, both above r. The walk
+    # takes ell-3 edges on `above`; its leaf takes the (ell-2)-th edge
+    # to x and closes through closers[x] to a w above path[1], or above
+    # x at ell = 3 (one direction of each cycle)
+    adj = g.adjacency
     # a bipartite graph has no odd cycle: no walk of odd ell can close;
     # a rainbow C_ell needs ell distinct colors and ell vertices
-    if ell > min(g.num_colors, g.n) or ell % 2 and _is_bipartite(nbr):
+    if ell > min(g.num_colors, g.n) or ell % 2 and _is_bipartite(adj):
         return []
     above: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    closers: dict[int, list] = {}
     found = []
 
     def leaf(path, cols, cmask):
@@ -194,18 +218,14 @@ def _cycles(g: EdgeColoredGraph, ell: int) -> list:
             low = path[1] if ell > 3 else x
             for w, c, d, mask in row:
                 if not used & mask and w > low and w not in path:
-                    found.append(RainbowWitness("cycle", (*path, x, w),
-                                                (*cols, e, c, d)))
+                    found.append(tuple.__new__(RainbowWitness, (
+                        "cycle", (*path, x, w), (*cols, e, c, d))))
 
     for r in reversed(range(g.n)):
-        closers.clear()
-        for w, d in above[r]:
-            for x, c in above[w]:
-                if c != d:
-                    closers.setdefault(x, []).append((w, c, d, 1 << c | 1 << d))
+        closers = _closers(above, r)
         if closers:
             _walk(above, [r], [], 0, ell - 3, leaf)
-        for u, c in nbr[r].items():
+        for u, c in adj[r]:
             above[u].append((r, c))
     found.sort()
     return found
@@ -363,23 +383,13 @@ def count_rainbow_cycles_through(g: EdgeColoredGraph, u: int, v: int, c: int,
                                  ell: int) -> int:
     """Number of rainbow cycles with exactly ell edges that adding the
     non-edge (u, v) with color c to g creates: the rainbow paths of g with
-    ell - 1 edges from v back to u that avoid c. One walk of ell - 2
-    edges from [u, v], with only c used, closes each to u."""
+    ell - 1 edges from v to u that avoid c, found as by
+    `rainbow_paths_between`."""
     _check_args(ell, 3)
     # the child's colors: those of g, plus c if it is new
     if ell > min(g.num_colors + (c >= g.num_colors), g.n):
         return 0
-    back = g.neighbor_colors[u]
-    count = 0
-
-    def leaf(path, cols, cmask):
-        nonlocal count
-        d = back.get(path[-1])
-        if d is not None and not cmask >> d & 1:
-            count += 1
-
-    _walk(g.adjacency, [u, v], [c], 1 << c, ell - 2, leaf)
-    return count
+    return len(_between(g.adjacency, v, u, ell - 1, 1 << c))
 
 
 def count_per_edge(g: EdgeColoredGraph, ell: int) -> dict[tuple[int, int], int]:
@@ -399,6 +409,28 @@ def count_per_edge(g: EdgeColoredGraph, ell: int) -> dict[tuple[int, int], int]:
     return dict(g._cache[key])
 
 
+def _between(adj, x: int, y: int, ell: int, cmask: int) -> list:
+    # the rainbow paths of ell >= 2 edges from x to y whose colors avoid
+    # the bits of cmask, as witnesses from x to y: y's closers, the
+    # 2-paths through x left out, and a walk of ell - 2 edges from
+    # [y, x], y kept off it, whose leaf closes through its last vertex's
+    # row
+    closers = _closers(adj, y, x)
+    found = []
+
+    def leaf(path, cols, cmask):
+        row = closers.get(path[-1])
+        if row is not None:
+            for w, c, d, mask in row:
+                if not cmask & mask and w not in path:
+                    found.append(tuple.__new__(RainbowWitness, (
+                        "path", (*path[1:], w, y), (*cols, c, d))))
+
+    if closers:
+        _walk(adj, [y, x], [], cmask, ell - 2, leaf)
+    return found
+
+
 def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
                           forbidden=frozenset()) -> list[RainbowWitness]:
     """Rainbow paths between x and y with exactly ell edges avoiding all
@@ -408,22 +440,17 @@ def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
         raise ValueError("endpoint out of range")
     if x == y:
         raise ValueError("endpoints must differ")
-    # with x < y, walk ell-1 edges from [y, x], so y stays off the walk,
-    # then close to y with an unused color; forbidden colors start used
     x, y = min(x, y), max(x, y)
+    # forbidden colors start used
     banned = frozenset(forbidden)
     cmask = sum(1 << c for c in range(g.num_colors) if c in banned)
     if ell > min(g.num_colors - cmask.bit_count(), g.n - 1):
         return []
-    back = g.neighbor_colors[y]
-    found = []
-
-    def leaf(path, cols, cmask):
-        c = back.get(path[-1])
-        if c is not None and not cmask >> c & 1:
-            found.append(RainbowWitness("path", (*path[1:], y), (*cols, c)))
-
-    _walk(g.adjacency, [y, x], [], cmask, ell - 1, leaf)
+    adj = g.adjacency
+    if ell == 1:
+        return [RainbowWitness("path", (x, y), (c,)) for z, c in adj[x]
+                if z == y and not cmask >> c & 1]
+    found = _between(adj, x, y, ell, cmask)
     found.sort()
     return found
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and shares no traversal code
 with the optimized modules: rainbow subgraphs are found by filtering all
-vertex sequences, the orientation of each copy included, and the
+vertex sequences (for paths between two vertices, all simple paths from
+one of them), the orientation of each copy included, and the
 reference search enumerates every labeled graph together with every
 partition of its edges into matchings. These oracles define correctness
 for the fast paths; tests assert exact agreement. Feasible only at very
@@ -33,6 +34,27 @@ def naive_rainbow_paths(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
         else:
             if len(set(cols)) == ell:
                 out.append(RainbowWitness("path", seq, tuple(cols)))
+    return sorted(out)
+
+
+def naive_rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int,
+                                ell: int, forbidden=()) -> list[RainbowWitness]:
+    """The rainbow paths with ell edges between x and y avoiding the
+    `forbidden` colors, from the smaller endpoint: every simple path of
+    ell edges from that endpoint, grown one neighbor at a time with no
+    color test, filtered at the end."""
+    nbr = g.neighbor_colors
+    x, y = min(x, y), max(x, y)
+    seqs = [(x,)]
+    for _ in range(ell):
+        seqs = [seq + (b,) for seq in seqs for b in nbr[seq[-1]]
+                if b not in seq]
+    out = []
+    for seq in seqs:
+        cols = tuple(nbr[a][b] for a, b in zip(seq, seq[1:]))
+        if (seq[-1] == y and len(set(cols)) == ell
+                and not set(cols) & set(forbidden)):
+            out.append(RainbowWitness("path", seq, cols))
     return sorted(out)
 
 

@@ -19,19 +19,22 @@ import pytest
 
 import rainbowgraphs
 from rainbowgraphs import rainbow
-from rainbowgraphs.colored_graph import build, is_properly_colored
+from rainbowgraphs.colored_graph import (build, canonical_key, graph_of_key,
+                                         is_properly_colored)
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import (_greedy_color, rainbow_free_instances,
                                   random_colored_graph, random_proper_graph)
 from rainbowgraphs.rainbow import (HALF_CEILING, MAX_LEN, RainbowWitness,
                                    count_per_edge,
+                                   count_rainbow_cycles_through,
                                    enumerate_rainbow_cycles,
                                    enumerate_rainbow_paths, has_rainbow_path,
                                    has_rainbow_path_through,
                                    rainbow_paths_between, verify_witness,
                                    vertices_on_rainbow_cycles)
 from rainbowgraphs.reference import (_has_rainbow_path_brute,
-                                     naive_rainbow_cycles, naive_rainbow_paths)
+                                     naive_rainbow_cycles, naive_rainbow_paths,
+                                     naive_rainbow_paths_between)
 
 
 def _witness_set(ws):
@@ -385,6 +388,146 @@ def test_antipodal_paths_avoiding_diagonal_color(ell, expected):
              if {w.vertices[0], w.vertices[-1]} == {0, antipode}
              and diag_color not in w.colors]
     assert _witness_set(found) == _witness_set(naive)
+
+
+def _between_cases(rng):
+    """(graph, pairs): small seeded proper and improper graphs with every
+    vertex pair, and the constructions d_star(3..6) with a seeded few."""
+    graphs = [random_proper_graph(rng, n=rng.randint(3, 8)) for _ in range(8)]
+    graphs += [random_colored_graph(rng, max_n=7) for _ in range(8)]
+    cases = [(g, list(combinations(range(g.n), 2))) for g in graphs]
+    # dense 8-vertex graphs hold rainbow paths of 7 edges
+    cases += [(g, rng.sample(list(combinations(range(8), 2)), 6))
+              for g in _dense_graphs(rng, 4, 8)]
+    for k in range(3, 7):
+        pairs = list(combinations(range(1 << k - 1), 2))
+        cases.append((d_star(k), rng.sample(pairs, min(len(pairs), 8 - k))))
+    return cases
+
+
+@pytest.mark.parametrize("ell", range(1, 8))
+def test_paths_between_match_naive(ell):
+    # the closing table of y against simple paths from x filtered at the
+    # end, with no forbidden color, one closing color, and a random set
+    rng = Random(2600 + ell)
+    found = 0
+    for g, pairs in _between_cases(rng):
+        # the oracle walks up to 6 * 5^6 paths from a vertex of d_star(6)
+        slow = ell == 7 and g.n > 16
+        for x, y in pairs[:1] if slow else pairs:
+            palette = range(g.num_colors + 1)
+            bans = [frozenset(), frozenset(rng.sample(
+                palette, rng.randint(1, min(3, len(palette)))))]
+            bans += [frozenset({c}) for _, c in g.adjacency[y][:1]]
+            for forbidden in bans[:1] if slow else bans:
+                expected = naive_rainbow_paths_between(g, x, y, ell, forbidden)
+                assert rainbow_paths_between(g, x, y, ell, forbidden) == \
+                    expected, (g.n, g.edges, x, y, sorted(forbidden))
+                assert rainbow_paths_between(g, y, x, ell, forbidden) == \
+                    expected
+                found += len(expected)
+    assert found
+
+
+def test_paths_between_at_the_edge_cases(monkeypatch):
+    # x adjacent to y: the edge itself at length 1, and the triangle's
+    # other side at length 2 unless its colors clash or one is forbidden
+    tri = build(3, [(0, 1, 0), (0, 2, 1), (1, 2, 2)])
+    assert rainbow_paths_between(tri, 2, 0, 1) == [
+        RainbowWitness("path", (0, 2), (1,))]
+    assert rainbow_paths_between(tri, 0, 2, 2) == [
+        RainbowWitness("path", (0, 1, 2), (0, 2))]
+    assert rainbow_paths_between(tri, 0, 2, 2, {2}) == []
+    assert rainbow_paths_between(tri, 0, 2, 1, {1}) == []
+    clash = build(3, [(0, 1, 0), (1, 2, 0), (0, 2, 1)])
+    assert rainbow_paths_between(clash, 0, 2, 2) == []
+    # a forbidden set that leaves exactly ell colors still finds the path
+    ring = build(6, [(i, (i + 1) % 6, i) for i in range(6)])
+    for ell in range(1, 6):
+        route = tuple(range(ell + 1))
+        cols = tuple(dict(ring.adjacency[a])[b]
+                     for a, b in zip(route, route[1:]))
+        banned = set(range(6)) - set(cols)
+        assert rainbow_paths_between(ring, 0, ell, ell, banned) == [
+            RainbowWitness("path", route, cols)]
+        # the closing color too: one color short
+        assert rainbow_paths_between(ring, 0, ell, ell,
+                                     banned | {cols[-1]}) == []
+
+    # every 2-path into y = 1 runs through x = 0, and 6's one neighbor has
+    # no other: the table is empty, and no walk runs
+    def no_walk(*args):
+        raise AssertionError("walked with an empty closing table")
+
+    spider = build(8, [(0, 1, 0), (0, 2, 1), (0, 3, 2), (2, 4, 3), (4, 5, 4),
+                       (6, 7, 5)])
+    monkeypatch.setattr(rainbow, "_walk", no_walk)
+    for ell in range(2, 6):
+        assert rainbow_paths_between(spider, 1, 0, ell) == []
+        assert count_rainbow_cycles_through(spider, 6, 0, 6, ell + 1) == 0
+
+
+def test_cycles_through_a_new_edge_are_the_paths_between_its_ends():
+    # the search's carried count is len of the between query, for every
+    # non-edge and every color, the new color k included
+    rng = Random(2607)
+    graphs = [random_proper_graph(rng, n=rng.randint(4, 7)) for _ in range(6)]
+    graphs += [random_colored_graph(rng, max_n=7) for _ in range(6)]
+    graphs += [d_star(4)]
+    total = 0
+    for g in graphs:
+        for u, v in combinations(range(g.n), 2):
+            if any(z == v for z, _ in g.adjacency[u]):
+                continue
+            for c in range(g.num_colors + 1):
+                for ell in range(3, 7):
+                    got = count_rainbow_cycles_through(g, u, v, c, ell)
+                    between = rainbow_paths_between(g, v, u, ell - 1, {c})
+                    assert got == len(between) == len(
+                        naive_rainbow_paths_between(g, v, u, ell - 1, {c}))
+                    assert count_rainbow_cycles_through(g, v, u, c, ell) == got
+                    total += got
+    assert total
+
+
+def test_between_table_is_linear_at_a_high_degree_endpoint():
+    # y's table costs the sum of deg(w) over its neighbors w: one row of
+    # 4,000 entries behind a star's center, none behind a leaf
+    for center in (0, 4000):
+        leaves = [v for v in range(4001) if v != center]
+        star = build(4001, [(center, v, i) for i, v in enumerate(leaves)])
+        start = time.perf_counter()
+        for x, y in ((leaves[0], leaves[1]), (leaves[0], center),
+                     (leaves[-1], leaves[-2])):
+            for ell in (2, 3, 4):
+                got = rainbow_paths_between(star, x, y, ell)
+                assert len(got) == (ell == 2 and center not in (x, y))
+        assert count_rainbow_cycles_through(star, leaves[0], leaves[1],
+                                            4000, 3) == 1
+        assert time.perf_counter() - start < 1
+    cube = hypercube(12)
+    start = time.perf_counter()
+    # a rainbow path of the cube flips each differing bit once, in any
+    # order, and no other bit
+    assert len(rainbow_paths_between(cube, 0, 3, 2)) == 2
+    assert rainbow_paths_between(cube, 0, 3, 4) == []
+    assert len(rainbow_paths_between(cube, 0, 15, 4)) == 24
+    assert count_rainbow_cycles_through(cube, 0, 3, 12, 3) == 2
+    assert time.perf_counter() - start < 1
+
+
+def test_rainbow_walks_leave_the_neighbor_dicts_unbuilt():
+    for g, query in (
+            (d_star(5), lambda g: has_rainbow_path(g, 4)),
+            (d_star(7), lambda g: has_rainbow_path(g, 6)),
+            (d_star(6), lambda g: enumerate_rainbow_paths(g, 5)),
+            (d_star(6), lambda g: rainbow_paths_between(g, 0, 31, 5, {5})),
+            (d_star(6), lambda g: rainbow_paths_between(g, 0, 1, 1)),
+            (d_star(6), lambda g: count_rainbow_cycles_through(g, 0, 3, 6, 5)),
+            (d_star(5), lambda g: enumerate_rainbow_cycles(g, 5))):
+        g = build(g.n, g.edges)
+        assert query(g)
+        assert g._nbr is None
 
 
 def test_vertices_on_rainbow_cycles_examples():
@@ -888,12 +1031,18 @@ def test_rainbow_query_bytes_are_frozen():
 
 
 def test_adjacency_rows_are_the_sorted_edge_rows():
-    for g in _table_graphs():
+    # both tables are built from `edges`, neither from the other, and so
+    # are a canonical representative's
+    graphs = _table_graphs()
+    graphs += [graph_of_key(canonical_key(g)) for g in _table_graphs()[:12]]
+    for g in graphs:
         rows = [[] for _ in range(g.n)]
         for u, v, c in g.edges:
             rows[u].append((v, c))
             rows[v].append((u, c))
         assert g.adjacency == [sorted(row) for row in rows]
+        assert g._nbr is None
+        assert g.adjacency == [list(row.items()) for row in g.neighbor_colors]
 
 
 def test_large_cube_cycle_enumeration_is_not_quadratic():
