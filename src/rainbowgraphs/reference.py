@@ -1,81 +1,72 @@
 """Naive reference oracles.
 
 Everything here is deliberately brute force and shares no traversal code
-with the optimized modules: rainbow subgraphs are found by filtering all
-vertex sequences (for paths between two vertices, all simple paths from
-one of them), the orientation of each copy included, and the
-reference search enumerates every labeled graph together with every
-partition of its edges into matchings. These oracles define correctness
-for the fast paths; tests assert exact agreement. Feasible only at very
-small n (sequences: n <= 7; search: n <= 5).
+with the optimized modules: rainbow subgraphs are found by growing every
+simple walk one neighbor at a time, with no color test and no pruning,
+and filtering the walks at the end, the orientation of each copy
+included; the reference search enumerates every labeled graph together
+with every partition of its edges into matchings. These oracles define
+correctness for the fast paths; tests assert exact agreement. The walks
+suit sparse graphs of a dozen or so vertices, the search only n <= 5.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .colored_graph import EdgeColoredGraph
 from .rainbow import RainbowWitness
 
 
-def naive_rainbow_paths(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
-    """All rainbow paths with ell edges, by filtering vertex sequences."""
-    nbr = g.neighbor_colors
-    out = []
-    for seq in permutations(range(g.n), ell + 1):
-        if seq[0] > seq[-1]:
-            continue
-        cols = []
-        for a, b in zip(seq, seq[1:]):
-            c = nbr[a].get(b)
-            if c is None:
-                break
-            cols.append(c)
+def _walks(nbr: list[dict[int, int]], starts, ell: int):
+    """Yield every simple walk of ell edges from one of `starts`, as a
+    vertex tuple: depth first, one neighbor at a time, no color test."""
+    stack = [(s,) for s in starts]
+    while stack:
+        walk = stack.pop()
+        if len(walk) > ell:
+            yield walk
         else:
-            if len(set(cols)) == ell:
-                out.append(RainbowWitness("path", seq, tuple(cols)))
-    return sorted(out)
+            stack.extend(walk + (b,) for b in nbr[walk[-1]] if b not in walk)
+
+
+def _rainbow(nbr, starts, ell: int, closed: bool = False):
+    """(vertices, colors) of each walk from `starts` whose ell colors are
+    distinct: a walk of ell edges, or if `closed` one of ell - 1 edges
+    plus the edge back to its start, so that each cycle comes once per
+    rotation and direction."""
+    for seq in _walks(nbr, starts, ell - 1 if closed else ell):
+        ends = seq[1:] + seq[:1] if closed else seq[1:]
+        # a list: tuple() of a generator over-allocates and shrinks its
+        # tuple, stranding one tuple per walk on a free list
+        cols = [nbr[a].get(b) for a, b in zip(seq, ends)]
+        if None not in cols and len(set(cols)) == ell:
+            yield seq, tuple(cols)
+
+
+def naive_rainbow_paths(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
+    """All rainbow paths with ell edges, each from its smaller end."""
+    return sorted(RainbowWitness("path", seq, cols) for seq, cols
+                  in _rainbow(g.neighbor_colors, range(g.n), ell)
+                  if seq[0] <= seq[-1])
 
 
 def naive_rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int,
                                 ell: int, forbidden=()) -> list[RainbowWitness]:
     """The rainbow paths with ell edges between x and y avoiding the
-    `forbidden` colors, from the smaller endpoint: every simple path of
-    ell edges from that endpoint, grown one neighbor at a time with no
-    color test, filtered at the end."""
-    nbr = g.neighbor_colors
+    `forbidden` colors, from the smaller endpoint."""
     x, y = min(x, y), max(x, y)
-    seqs = [(x,)]
-    for _ in range(ell):
-        seqs = [seq + (b,) for seq in seqs for b in nbr[seq[-1]]
-                if b not in seq]
-    out = []
-    for seq in seqs:
-        cols = tuple(nbr[a][b] for a, b in zip(seq, seq[1:]))
-        if (seq[-1] == y and len(set(cols)) == ell
-                and not set(cols) & set(forbidden)):
-            out.append(RainbowWitness("path", seq, cols))
-    return sorted(out)
+    return sorted(RainbowWitness("path", seq, cols) for seq, cols
+                  in _rainbow(g.neighbor_colors, [x], ell)
+                  if seq[-1] == y and not set(cols) & set(forbidden))
 
 
 def naive_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
-    """All rainbow cycles with ell edges, by filtering vertex sequences."""
-    nbr = g.neighbor_colors
-    out = []
-    for seq in permutations(range(g.n), ell):
-        if seq[0] != min(seq) or seq[1] > seq[-1]:
-            continue
-        cols = []
-        for i in range(ell):
-            a, b = seq[i], seq[(i + 1) % ell]
-            c = nbr[a].get(b)
-            if c is None:
-                break
-            cols.append(c)
-        else:
-            if len(set(cols)) == ell:
-                out.append(RainbowWitness("cycle", seq, tuple(cols)))
-    return sorted(out)
+    """All rainbow cycles with ell edges, each from its smallest vertex
+    toward the smaller of that vertex's two cycle neighbors."""
+    return sorted(RainbowWitness("cycle", seq, cols) for seq, cols
+                  in _rainbow(g.neighbor_colors, range(g.n), ell, True)
+                  if seq[0] == min(seq) and seq[1] < seq[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -83,33 +74,12 @@ def naive_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
 
 
 def _has_rainbow_path_brute(n: int, nbr: list[dict[int, int]], ell: int) -> bool:
-    for seq in permutations(range(n), ell + 1):
-        cols = []
-        for a, b in zip(seq, seq[1:]):
-            c = nbr[a].get(b)
-            if c is None:
-                break
-            cols.append(c)
-        else:
-            if len(set(cols)) == ell:
-                return True
-    return False
+    return any(True for _ in _rainbow(nbr, range(n), ell))
 
 
 def _count_rainbow_cycles_brute(n: int, nbr: list[dict[int, int]], ell: int) -> int:
-    total = 0
-    for seq in permutations(range(n), ell):
-        cols = []
-        for i in range(ell):
-            c = nbr[seq[i]].get(seq[(i + 1) % ell])
-            if c is None:
-                break
-            cols.append(c)
-        else:
-            if len(set(cols)) == ell:
-                total += 1
-    # each cycle copy was seen once per rotation and direction
-    return total // (2 * ell)
+    # each cycle copy was walked once per rotation and direction
+    return sum(1 for _ in _rainbow(nbr, range(n), ell, True)) // (2 * ell)
 
 
 def matching_partitions(n: int, edges):

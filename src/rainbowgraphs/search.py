@@ -4,7 +4,7 @@ The search space is (underlying graph on n vertices, partition of its
 edges into matchings), which is exactly the space of proper colorings up
 to color renaming. Candidates are grown level by level, one edge at a
 time; at every level isomorph rejection keeps one canonical representative
-per class (colored_graph.canonical_form), which is sound because the
+per class (colored_graph.canonical_key), which is sound because the
 constraint (no rainbow path of length ell) is closed under edge deletion:
 every feasible graph with m+1 edges extends a feasible graph with m edges.
 

@@ -758,20 +758,6 @@ def test_split_path_test_on_subsets_and_relabelings_of_d_star6():
     assert verdicts == {True, False}
 
 
-def _grown_path_exists(g, ell):
-    """Brute force: grow every simple path vertex by vertex from every
-    start, keeping the colors distinct, until one has ell edges (on 10 or
-    11 vertices there are too many vertex sequences to filter)."""
-    nbr = g.neighbor_colors
-
-    def grow(seq, cols):
-        return len(cols) == ell or any(
-            grow(seq + [u], cols + [c]) for u, c in nbr[seq[-1]].items()
-            if u not in seq and c not in cols)
-
-    return any(grow([s], []) for s in range(g.n))
-
-
 def _middle_clash_cases(ell):
     """(graph, verdict) pairs at odd ell = 2h + 1 decided by the join at
     one middle edge (x, y, c), where an h-edge half from x and one from
@@ -801,7 +787,7 @@ def _middle_clash_cases(ell):
 def test_middle_edge_join_excludes_its_color_and_its_ends(ell):
     for g, verdict in _middle_clash_cases(ell):
         assert g.num_colors >= ell and g.n > ell
-        assert _grown_path_exists(g, ell) == verdict
+        assert _has_rainbow_path_brute(g.n, g.neighbor_colors, ell) == verdict
         assert has_rainbow_path(g, ell) == verdict
 
 
@@ -814,7 +800,7 @@ def test_half_tables_match_brute_force_at_longer_lengths(ell):
         g = _split_case(rng, proper=i % 2 == 0, sizes=(ell + 1, ell + 2),
                         palettes=(ell, ell + 2), density=(0.25, 0.45))
         got = has_rainbow_path(g, ell)
-        assert got == _grown_path_exists(g, ell)
+        assert got == _has_rainbow_path_brute(g.n, g.neighbor_colors, ell)
         if g.num_colors >= ell:
             outcomes.add((i % 2 == 0, got))
     assert len(outcomes) == 4
@@ -899,9 +885,8 @@ def test_path_through_new_edge_matches_full_search_on_children():
         for u, v, c in _proper_extensions(g):
             child = build(g.n, g.edges + ((u, v, c),))
             expected = has_rainbow_path(child, ell)
-            if g.n <= 7:
-                assert _has_rainbow_path_brute(
-                    child.n, child.neighbor_colors, ell) == expected
+            assert _has_rainbow_path_brute(
+                child.n, child.neighbor_colors, ell) == expected
             got = has_rainbow_path_through(g, u, v, c, ell)
             assert got == expected == has_rainbow_path_through(g, v, u, c, ell)
             outcomes.add((c < g.num_colors, got))
