@@ -21,9 +21,9 @@ are looked up once per end, not once per walk. For cycles the end is
 the root r, the minimal vertex of its cycles, and the table holds only
 vertices above r; the walk stops three edges short and its leaf takes
 one more edge first. For paths between x and y the end is y, and the
-paths through x are left out of the table. The search counts the
-cycles a new edge (u, v, c) makes as the paths between v and u that
-avoid c (`count_rainbow_cycles_through`).
+paths through x are left out of the table. The cycles a new edge
+(u, v, c) makes are the paths between u and v that avoid c, so the
+search counts them with `rainbow_paths_between`.
 
 `has_rainbow_path` at ell >= 6 meets in the middle: one table per
 vertex holds its rainbow halves of ell//2 edges, and a path's middle
@@ -260,11 +260,13 @@ def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     before, neither using c, x's avoiding y and y's avoiding x. A table
     serves every middle edge at its vertex and is dropped after the last;
     the tables kept between middles hold at most `HALF_CEILING` halves,
-    and past that a table is walked again for each middle. Below 6 the
-    split costs more than it saves, and where Delta * (Delta - 1)^(h - 1)
-    halves of about n/8 + 40 bytes pass 48 * `HALF_CEILING` bytes one
-    table could be huge, so in both cases a walk runs from every start
-    and stops at the first full-length path.
+    and past that a table is walked again for each middle. Below 6, and
+    where Delta * (Delta - 1)^(h - 1) halves of about n/8 + 40 bytes pass
+    48 * `HALF_CEILING` bytes (one table could be huge), a walk runs from
+    every start and stops at the first full-length path. On path-free
+    graphs the tables were 1.6-2x slower at ell 3 and 4 and 2-3.4x faster
+    at 5, but at 5 they were 10x slower where a walk finds a path at once
+    (`d_star(6)`: 0.1 ms against 0.01 ms).
     """
     _check_args(ell, 1)
     key = ("haspath", ell)
@@ -379,19 +381,6 @@ def has_rainbow_path_through(g: EdgeColoredGraph, u: int, v: int, c: int,
     return False
 
 
-def count_rainbow_cycles_through(g: EdgeColoredGraph, u: int, v: int, c: int,
-                                 ell: int) -> int:
-    """Number of rainbow cycles with exactly ell edges that adding the
-    non-edge (u, v) with color c to g creates: the rainbow paths of g with
-    ell - 1 edges from v to u that avoid c, found as by
-    `rainbow_paths_between`."""
-    _check_args(ell, 3)
-    # the child's colors: those of g, plus c if it is new
-    if ell > min(g.num_colors + (c >= g.num_colors), g.n):
-        return 0
-    return len(_between(g.adjacency, v, u, ell - 1, 1 << c))
-
-
 def count_per_edge(g: EdgeColoredGraph, ell: int) -> dict[tuple[int, int], int]:
     """Map each edge (u, v) of g to f(e), the number of rainbow C_ell
     witnesses containing it: consecutive vertex pairs plus the closing one.
@@ -456,5 +445,6 @@ def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
 
 
 def vertices_on_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> set[int]:
-    """V': the set of vertices lying on at least one rainbow C_ell."""
-    return {v for w in enumerate_rainbow_cycles(g, ell) for v in w.vertices}
+    """V': the set of vertices lying on at least one rainbow C_ell, the
+    ends of the edges whose count in `count_per_edge` is positive."""
+    return {v for e, f in count_per_edge(g, ell).items() if f for v in e}

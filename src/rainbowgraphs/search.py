@@ -49,13 +49,14 @@ canonical graph is built once and lives only through that turn, with
 the tables cached on it; optima are kept as keys and decoded at the
 end. Node counts count every candidate tried.
 
-Objectives: max_edges and max_rainbow_cycles, both under the rainbow-path
-freeness constraint. Rainbow C_ell counts are carried, not recounted: a
-new class's count is its parent's plus the cycles through its new edge
-(rainbow.count_rainbow_cycles_through, one walk on the parent), so
-evaluating a class reads an int; only the witness is recounted, on a
-fresh build. No bound cuts a representative: a cut by the
-paper's per-edge capacity (2*ell-3)^(ell-2) times the edges still
+Objectives: max_edges and max_rainbow_cycles, both under the
+rainbow-path freeness constraint. Rainbow C_ell counts are carried, not
+recounted: a new class's count is its parent's plus the cycles through
+its new edge (u, v, c), which are the parent's rainbow P_(ell-1) between
+u and v that avoid c (rainbow.rainbow_paths_between, one walk on the
+parent), so evaluating a class reads an int; only the witness is
+recounted, on a fresh build. No bound cuts a representative: a cut by
+the paper's per-edge capacity (2*ell-3)^(ell-2) times the edges still
 addable can beat the incumbent only when at most a few edges are
 addable, which at these n spares no measurable work. `pruned_bound`
 stays in the statistics, always 0.
@@ -75,9 +76,8 @@ from .colored_graph import (EdgeColoredGraph, _normalized, build,
                             canonical_form, canonical_generators,
                             canonical_key, degree, graph_of_key,
                             is_properly_colored)
-from .rainbow import (MAX_LEN, count_rainbow_cycles_through,
-                      enumerate_rainbow_cycles, has_rainbow_path,
-                      has_rainbow_path_through)
+from .rainbow import (MAX_LEN, enumerate_rainbow_cycles, has_rainbow_path,
+                      has_rainbow_path_through, rainbow_paths_between)
 
 _OBJECTIVES = ("max_edges", "max_rainbow_cycles")
 
@@ -324,9 +324,11 @@ def _run(p: SearchProblem):
                 if key in children:
                     stats["pruned_duplicate"] += 1
                     continue
-                children[key] = None if count is None else \
-                    count + count_rainbow_cycles_through(
-                        g, *child._cache["added"], p.ell)
+                # the C_ell through a new edge (u, v, c) are the rainbow
+                # P_(ell-1) of g between u and v that avoid c
+                u, v, c = child._cache["added"]
+                children[key] = None if count is None else count + len(
+                    rainbow_paths_between(g, u, v, p.ell - 1, (c,)))
                 gens = canonical_generators(child)
                 if gens:
                     symmetric[key] = bytes(chain.from_iterable(gens))

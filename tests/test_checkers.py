@@ -261,6 +261,15 @@ def test_run_suite_verdicts_survive_relabeling_symmetric_inputs():
     assert moved >= len(cases) - 1
 
 
+def test_cycle_length_below_three_is_refused():
+    # a length below 3 is a caller error, not a skipped hypothesis
+    for check in (check_degree_lemma, check_k_color_edge_bound,
+                  check_general_upper_per_edge):
+        with pytest.raises(ValueError,
+                           match=r"^cycle length must be >= 3, got 2$"):
+            check(d_star(3), 2)
+
+
 def test_skipped_reports_always_carry_reason_and_hold():
     reports = run_suite(IMPROPER, 5) + run_suite(RAINBOW_PATH_5, 5)
     assert any(r.skipped for r in reports)

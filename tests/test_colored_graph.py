@@ -201,6 +201,11 @@ def test_graph_equality_and_hash_follow_edge_tuples():
     b = build(3, [(1, 2, 1), (0, 1, 0)])
     assert a == b and hash(a) == hash(b)
     assert a != build(4, [(0, 1, 0), (1, 2, 1)])
+    # an object of another type is never equal to a graph
+    assert a.__eq__(((0, 1, 0), (1, 2, 1))) is NotImplemented
+    assert a != "graph" and a not in [None, 3, a.edges]
+    assert repr(a) == "EdgeColoredGraph(n=3, m=2, colors=2)"
+    assert repr(build(0, [])) == "EdgeColoredGraph(n=0, m=0, colors=0)"
 
 
 # ------------------------------------------------------ canonical form

@@ -96,6 +96,14 @@ def test_disjoint_union_shapes_and_additivity():
     assert empty.n == 0 and empty.m == 0
 
 
+def test_disjoint_union_vertex_ceiling():
+    # 2^16 vertices fit; one more is refused before any edge is shifted
+    assert disjoint_union([build(1 << 16, [])]).n == 1 << 16
+    with pytest.raises(ValueError,
+                       match=r"^vertex count must be in 0\.\.65536, got 65537$"):
+        disjoint_union([build(1 << 16, []), build(1, [])])
+
+
 def test_disjoint_union_keeps_rainbow_freeness():
     u = disjoint_union([d_star(3), d_star(3), d_star(3)])
     assert not has_rainbow_path(u, 3)

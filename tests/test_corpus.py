@@ -5,7 +5,9 @@ from random import Random
 
 import pytest
 
+from rainbowgraphs import corpus
 from rainbowgraphs.colored_graph import build, is_properly_colored
+from rainbowgraphs.constructions import d_star, lower_bound_graph
 from rainbowgraphs.corpus import rainbow_free_instances, random_proper_graph
 from rainbowgraphs.rainbow import has_rainbow_path
 from rainbowgraphs.reference import naive_rainbow_paths
@@ -33,6 +35,35 @@ def test_corpus_bytes_are_frozen():
         assert again == g and again.num_colors == g.num_colors
         h.update(repr((g.n, g.num_colors, g.edges)).encode())
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_rainbow_free_instances_fall_back_after_rejected_draws(monkeypatch,
+                                                               ell):
+    # with every random draw rejected, the random branch falls back to an
+    # edge subset of the block after 60 tries; every graph is then a
+    # subgraph of d_star(ell) or of a padded union of blocks, its colors
+    # renumbered one to one
+    tried = []
+
+    def reject(g, length):
+        tried.append(length)
+        return True
+
+    monkeypatch.setattr(corpus, "has_rainbow_path", reject)
+    graphs = rainbow_free_instances(Random(7), ell, 30)
+    assert len(graphs) == 30 and tried and set(tried) == {ell}
+    assert len(tried) % 60 == 0
+    assert graphs[0] == d_star(ell)
+    for g in graphs:
+        # one block is d_star(ell) itself
+        host = lower_bound_graph(g.n, ell)
+        colors = {(u, v): c for u, v, c in host.edges}
+        assert {(u, v) for u, v, _ in g.edges} <= colors.keys()
+        renamed = {(c, colors[u, v]) for u, v, c in g.edges}
+        assert len(renamed) == len(dict(renamed)) == len(
+            {d for _, d in renamed})
+        assert is_properly_colored(g)
 
 
 @pytest.mark.parametrize("ell", [6, 7])

@@ -25,9 +25,7 @@ from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import (_greedy_color, rainbow_free_instances,
                                   random_colored_graph, random_proper_graph)
 from rainbowgraphs.rainbow import (HALF_CEILING, MAX_LEN, RainbowWitness,
-                                   count_per_edge,
-                                   count_rainbow_cycles_through,
-                                   enumerate_rainbow_cycles,
+                                   count_per_edge, enumerate_rainbow_cycles,
                                    enumerate_rainbow_paths, has_rainbow_path,
                                    has_rainbow_path_through,
                                    rainbow_paths_between, verify_witness,
@@ -464,12 +462,14 @@ def test_paths_between_at_the_edge_cases(monkeypatch):
     monkeypatch.setattr(rainbow, "_walk", no_walk)
     for ell in range(2, 6):
         assert rainbow_paths_between(spider, 1, 0, ell) == []
-        assert count_rainbow_cycles_through(spider, 6, 0, 6, ell + 1) == 0
+        assert rainbow_paths_between(spider, 6, 0, ell, {6}) == []
 
 
 def test_cycles_through_a_new_edge_are_the_paths_between_its_ends():
-    # the search's carried count is len of the between query, for every
-    # non-edge and every color, the new color k included
+    # the search carries a class's C_ell count as its parent's plus the
+    # between query on the parent: for every non-edge and every color,
+    # the new color k included, it counts the rainbow C_ell of the child
+    # that use the new edge
     rng = Random(2607)
     graphs = [random_proper_graph(rng, n=rng.randint(4, 7)) for _ in range(6)]
     graphs += [random_colored_graph(rng, max_n=7) for _ in range(6)]
@@ -480,12 +480,12 @@ def test_cycles_through_a_new_edge_are_the_paths_between_its_ends():
             if any(z == v for z, _ in g.adjacency[u]):
                 continue
             for c in range(g.num_colors + 1):
+                child = build(g.n, g.edges + ((u, v, c),))
                 for ell in range(3, 7):
-                    got = count_rainbow_cycles_through(g, u, v, c, ell)
-                    between = rainbow_paths_between(g, v, u, ell - 1, {c})
-                    assert got == len(between) == len(
-                        naive_rainbow_paths_between(g, v, u, ell - 1, {c}))
-                    assert count_rainbow_cycles_through(g, v, u, c, ell) == got
+                    through = sum((u, v) in _edge_set(w)
+                                  for w in naive_rainbow_cycles(child, ell))
+                    got = len(rainbow_paths_between(g, u, v, ell - 1, {c}))
+                    assert got == through, (g, u, v, c, ell)
                     total += got
     assert total
 
@@ -502,8 +502,6 @@ def test_between_table_is_linear_at_a_high_degree_endpoint():
             for ell in (2, 3, 4):
                 got = rainbow_paths_between(star, x, y, ell)
                 assert len(got) == (ell == 2 and center not in (x, y))
-        assert count_rainbow_cycles_through(star, leaves[0], leaves[1],
-                                            4000, 3) == 1
         assert time.perf_counter() - start < 1
     cube = hypercube(12)
     start = time.perf_counter()
@@ -512,7 +510,6 @@ def test_between_table_is_linear_at_a_high_degree_endpoint():
     assert len(rainbow_paths_between(cube, 0, 3, 2)) == 2
     assert rainbow_paths_between(cube, 0, 3, 4) == []
     assert len(rainbow_paths_between(cube, 0, 15, 4)) == 24
-    assert count_rainbow_cycles_through(cube, 0, 3, 12, 3) == 2
     assert time.perf_counter() - start < 1
 
 
@@ -523,7 +520,6 @@ def test_rainbow_walks_leave_the_neighbor_dicts_unbuilt():
             (d_star(6), lambda g: enumerate_rainbow_paths(g, 5)),
             (d_star(6), lambda g: rainbow_paths_between(g, 0, 31, 5, {5})),
             (d_star(6), lambda g: rainbow_paths_between(g, 0, 1, 1)),
-            (d_star(6), lambda g: count_rainbow_cycles_through(g, 0, 3, 6, 5)),
             (d_star(5), lambda g: enumerate_rainbow_cycles(g, 5))):
         g = build(g.n, g.edges)
         assert query(g)
@@ -536,6 +532,19 @@ def test_vertices_on_rainbow_cycles_examples():
     assert vertices_on_rainbow_cycles(tree, 3) == set()
     tri = build(4, [(0, 1, 0), (1, 2, 1), (0, 2, 2), (2, 3, 0)])
     assert vertices_on_rainbow_cycles(tri, 3) == {0, 1, 2}
+
+
+def test_vertices_on_rainbow_cycles_match_the_naive_cycles():
+    # V' is read off the per-edge counts; the naive cycles' vertices are
+    # the same set, isolated vertices and cycle-free graphs included
+    checked = 0
+    for g in _table_graphs():
+        for ell in range(3, 7):
+            expected = {v for w in naive_rainbow_cycles(g, ell)
+                        for v in w.vertices}
+            assert vertices_on_rainbow_cycles(g, ell) == expected, (g, ell)
+            checked += 1
+    assert checked == 172
 
 
 # ----------------------------------------------------------- invariants

@@ -8,10 +8,12 @@ oracles and the reference search on a seeded corpus.
 import hashlib
 from random import Random
 
+import pytest
+
 from rainbowgraphs.constructions import d_star
 from rainbowgraphs.corpus import random_colored_graph, random_proper_graph
 from rainbowgraphs.reference import (_count_rainbow_cycles_brute,
-                                     _has_rainbow_path_brute,
+                                     _has_rainbow_path_brute, naive_colorings,
                                      naive_rainbow_cycles, naive_rainbow_paths,
                                      naive_rainbow_paths_between, naive_search)
 
@@ -78,3 +80,12 @@ def test_reference_oracle_bytes_are_frozen():
         hashes.setdefault(name, hashlib.sha256()).update(repr(out).encode())
     got = {name: h.hexdigest() for name, h in hashes.items()}
     assert got == ORACLE_DIGESTS
+
+
+def test_naive_colorings_refuse_an_unknown_objective():
+    # the generator refuses at its first step, before any graph is drawn
+    for run in (lambda: next(naive_colorings(3, 3, "most_edges")),
+                lambda: naive_search(3, 3, "most_edges")):
+        with pytest.raises(ValueError,
+                           match=r"^unknown objective 'most_edges'$"):
+            run()

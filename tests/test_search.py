@@ -346,6 +346,31 @@ def test_witness_recheck_ignores_counts_cached_on_the_witness():
         _verify_witness_graph(w, p, 2 * res.value)
 
 
+def test_witness_recheck_refuses_each_broken_hypothesis():
+    # a witness that breaks any constraint of the problem is an error,
+    # checked in order: properness, freeness, the color restriction
+    p = SearchProblem(4, 3, "max_edges", colors=2)
+    cases = [
+        (build(3, [(0, 1, 0), (1, 2, 0)]), "is not properly colored"),
+        (build(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2)]),
+         "violates the freeness constraint"),
+        (build(4, [(0, 1, 0), (2, 3, 0)]), "violates the color restriction"),
+    ]
+    for g, message in cases:
+        with pytest.raises(RuntimeError, match=f"^search witness {message}"):
+            _verify_witness_graph(g, p, g.m)
+    _verify_witness_graph(build(3, [(0, 1, 0), (1, 2, 1)]), p, 2)
+
+
+def test_regularity_verifier_requires_a_witness():
+    empty = ExtremalResult(value=0, witness=None, exhaustive=True)
+    with pytest.raises(ValueError, match="^result carries no witness$"):
+        verify_extremal_regularity(empty, 0)
+    empty.optima = ()
+    with pytest.raises(ValueError, match="^result carries no witness$"):
+        verify_extremal_regularity(empty, 0)
+
+
 def test_search_releases_each_parent_once_it_is_extended():
     # a level holds canonical keys and optima are kept as keys, so a
     # parent, decoded from its key when its turn comes, and the tables
