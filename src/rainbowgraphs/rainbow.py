@@ -13,17 +13,21 @@ colored graph, proper or not; properness is only a hypothesis of the
 checker module. A rainbow P_ell needs ell colors and ell+1 vertices, a
 C_ell ell of each, so a length above either count returns at once.
 
-Walks to a fixed end close on a table of the 2-edge paths into it
-(`_closers`): each vertex z lists the middles w of the paths z-w-r into
-the end r whose two edges differ in color. The walk stops two edges
-short, and its leaf scans the row of its last vertex, so closing edges
-are looked up once per end, not once per walk. For cycles the end is
-the root r, the minimal vertex of its cycles, and the table holds only
-vertices above r; the walk stops three edges short and its leaf takes
-one more edge first. For paths between x and y the end is y, and the
-paths through x are left out of the table. The cycles a new edge
-(u, v, c) makes are the paths between u and v that avoid c, so the
-search counts them with `rainbow_paths_between`.
+Walks to a fixed end r close on a table of the 2-edge paths z-w-r whose
+two edges differ in color, by z, so a walk's leaf scans the row of its
+last vertex and closing edges are looked up once per end, not per walk.
+For paths between x and y the end is y, without the paths through x.
+The cycles a new edge (u, v, c) makes are the paths between u and v
+that avoid c, so the search counts them with `rainbow_paths_between`.
+For cycles the end is the root r, the least-ranked vertex of its
+cycles, and its table grows one first neighbor p at a time: the walk
+from [r, p] closes only through the neighbors taken before p, so each
+cycle is walked once, in one direction. Roots rank by id, or by degree
+descending (Chiba and Nishizeki, 1985) where the id order's tables
+could cost over twice as much, as with a hub labeled last; witnesses
+are then turned back to the id orientation. The witnesses hold no
+reference cycle, so both enumerations pause the cyclic collector,
+which would sweep the heap again and again as the list grows.
 
 `has_rainbow_path` at ell >= 6 meets in the middle: one table per
 vertex holds its rainbow halves of ell//2 edges, and a path's middle
@@ -35,18 +39,20 @@ Delta^ell paths. Below 6, or where one table could take more bytes
 than `HALF_CEILING` halves on 64 vertices, the walk from every start
 runs instead.
 
-Each subgraph copy is stored once, in the orientation the walks produce:
-a path starts at its smaller endpoint, its leaf taking the last edge only
-to an end above the start; a cycle starts at its minimal vertex and goes
-next to the smaller of its two neighbors. Each witness is built once, in
-the walk's leaf, through the tuple constructor (the named tuple's own
-`__new__` costs twice as much), and each list is sorted before return,
-so output is deterministic. Enumeration runs in the caller's
-thread; `threads` is validated and changes nothing.
+Each subgraph copy is stored once: a path starts at its smaller
+endpoint, its leaf taking the last edge only to an end above the start;
+a cycle starts at its minimal vertex and goes next to the smaller of its
+two neighbors, as the walks from roots in id order produce it. Each
+witness is built in the walk's leaf (and once more if it is turned),
+through the tuple constructor (the named tuple's own `__new__` costs
+twice as much), and each list is sorted before return, so output is
+deterministic. Enumeration runs in the caller's thread; `threads` is
+validated and changes nothing.
 """
 
 from __future__ import annotations
 
+import gc
 from typing import NamedTuple
 
 from .colored_graph import EdgeColoredGraph
@@ -139,12 +145,28 @@ def _walk(adj, path: list, cols: list, cmask: int, k: int, leaf) -> bool:
     return False
 
 
+def _paused(enumerate_, *args):
+    # each witness is tracked by the cyclic collector, whose passes sweep
+    # the heap while the list grows: off for the call, then as it was
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return enumerate_(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def enumerate_rainbow_paths(g: EdgeColoredGraph, ell: int,
                             threads: int = 1) -> list[RainbowWitness]:
     """All rainbow paths with exactly ell edges, one witness per copy."""
     _check_args(ell, 1, threads)
     if ell > min(g.num_colors, g.n - 1):
         return []
+    return _paused(_paths, g, ell)
+
+
+def _paths(g: EdgeColoredGraph, ell: int) -> list:
     adj = g.adjacency
     found = []
 
@@ -194,39 +216,82 @@ def _closers(adj, r: int, skip: int = -1) -> dict[int, list]:
     return closers
 
 
+def _root_order(adj) -> list[int] | None:
+    # the roots by degree descending, ties by id, where the id order's
+    # closing tables could cost over twice as much; None keeps id order.
+    # A root's table costs deg(w) for each neighbor w above it: summed
+    # over edges (u < v), deg(v) in id order, the smaller in degree order
+    deg = list(map(len, adj))
+    ends = [(deg[u], deg[v]) for u, row in enumerate(adj) for v, _ in row
+            if u < v]
+    if sum(d for _, d in ends) <= 2 * sum(map(min, ends)):
+        return None
+    return sorted(range(len(adj)), key=lambda v: (-deg[v], v))
+
+
+def _id_oriented(w: RainbowWitness) -> RainbowWitness:
+    # the cycle read from its minimal vertex toward its smaller neighbor;
+    # backwards from vs[i], edge (vs[k], vs[k-1]) has color cs[k-1]
+    vs, cs = w.vertices, w.colors
+    i = vs.index(min(vs))
+    if vs[i - 1] > vs[(i + 1) % len(vs)]:
+        vs, cs = vs[i:] + vs[:i], cs[i:] + cs[:i]
+    else:
+        vs, cs = vs[i::-1] + vs[:i:-1], cs[i - 1::-1] + cs[:i - 1:-1]
+    return tuple.__new__(RainbowWitness, ("cycle", vs, cs))
+
+
 def _cycles(g: EdgeColoredGraph, ell: int) -> list:
-    # roots r in decreasing order, each the minimal vertex of its cycles,
-    # so `above` holds only the neighbors above r, and r's closers on it
-    # list the common neighbors w of r and x, both above r. The walk
-    # takes ell-3 edges on `above`; its leaf takes the (ell-2)-th edge
-    # to x and closes through closers[x] to a w above path[1], or above
-    # x at ell = 3 (one direction of each cycle)
+    # roots r in decreasing rank, each the least-ranked vertex of its
+    # cycles, so `above` holds only the neighbors ranked above r. Going
+    # through above[r], highest rank first, each first neighbor p walks
+    # from [r, p] on `above` while `closers` holds the 2-edge paths z-w-r
+    # through the neighbors w taken before p: each cycle is walked once,
+    # in the direction that ends on the higher-ranked of r's two cycle
+    # neighbors. The walk takes ell-4 edges; its leaf takes one more to x
+    # and closes through closers[x] (at ell = 3, p's row closes at once)
     adj = g.adjacency
     # a bipartite graph has no odd cycle: no walk of odd ell can close;
     # a rainbow C_ell needs ell distinct colors and ell vertices
     if ell > min(g.num_colors, g.n) or ell % 2 and _is_bipartite(adj):
         return []
+    order = _root_order(adj)
     above: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     found = []
 
     def leaf(path, cols, cmask):
+        vs, cs = tuple(path), tuple(cols)
         for x, e in above[path[-1]]:
             row = closers.get(x)
             if row is None or cmask >> e & 1 or x in path:
                 continue
             used = cmask | 1 << e
-            low = path[1] if ell > 3 else x
             for w, c, d, mask in row:
-                if not used & mask and w > low and w not in path:
+                if not used & mask and w not in path:
                     found.append(tuple.__new__(RainbowWitness, (
-                        "cycle", (*path, x, w), (*cols, e, c, d))))
+                        "cycle", vs + (x, w), cs + (e, c, d))))
 
-    for r in reversed(range(g.n)):
-        closers = _closers(above, r)
-        if closers:
-            _walk(above, [r], [], 0, ell - 3, leaf)
+    for r in reversed(range(g.n)) if order is None else reversed(order):
+        closers: dict[int, list] = {}
+        last = len(above[r]) - 1
+        for i, (p, b) in enumerate(above[r]):
+            if closers:
+                if ell > 3:
+                    _walk(above, [r, p], [b], 1 << b, ell - 4, leaf)
+                else:
+                    for w, c, d, mask in closers.get(p, ()):
+                        if not mask >> b & 1:
+                            found.append(tuple.__new__(RainbowWitness, (
+                                "cycle", (r, p, w), (b, c, d))))
+            if i < last:
+                for z, c in above[p]:
+                    if c != b:
+                        closers.setdefault(z, []).append(
+                            (p, c, b, 1 << c | 1 << b))
         for u, c in adj[r]:
             above[u].append((r, c))
+    if order is not None:
+        found = list(map(_id_oriented, found))
     found.sort()
     return found
 
@@ -241,7 +306,7 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph, ell: int,
     _check_args(ell, 3, threads)
     key = ("cycles", ell)
     if key not in g._cache:
-        g._cache[key] = _cycles(g, ell)
+        g._cache[key] = _paused(_cycles, g, ell)
     return list(g._cache[key])
 
 

@@ -5,12 +5,14 @@ independently with the permutation-filter enumerator in
 rainbowgraphs.reference before being frozen here.
 """
 
+import gc
 import hashlib
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, permutations, product
 from math import factorial
 from random import Random
@@ -220,7 +222,7 @@ def test_d_star_cycle_count_and_witnesses(k):
 
 
 def test_cycle_closers_at_the_edge_cases():
-    # ell = 3: the walk takes no edge, and its leaf closes the triangle
+    # ell = 3: no walk, the second neighbor's row closes the triangle
     tri = build(3, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
     assert len(rainbow._cycles(tri, 3)) == 1
     assert rainbow._cycles(tri, 3) == naive_rainbow_cycles(tri, 3)
@@ -228,7 +230,8 @@ def test_cycle_closers_at_the_edge_cases():
     # of color 2, so the square is not rainbow
     square = build(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 2)])
     assert rainbow._cycles(square, 4) == []
-    # the walk reaches each cycle in both directions and keeps one
+    # the walk from the root's second neighbor closes through its first,
+    # so each cycle is reached once
     for ell in (4, 5, 6):
         ring = build(ell, [(i, (i + 1) % ell, i) for i in range(ell)])
         assert len(rainbow._cycles(ring, ell)) == 1
@@ -294,13 +297,118 @@ def test_walk_stops_at_a_truthy_leaf_with_its_path_unrestored():
 
 
 def test_cycle_walk_is_not_quadratic_at_a_root():
-    # each root's walk stops two edges short and its leaf closes both
-    # edges; a variant that paired the root's neighbors first took 6.3 s
+    # each walk's leaf closes its last two edges through the root's
+    # table; a variant that paired the root's neighbors first took 6.3 s
     # on this star, whose center is the last root
     star = build(4001, [(0, i, i - 1) for i in range(1, 4001)])
     start = time.perf_counter()
     assert enumerate_rainbow_cycles(star, 4) == []
     assert time.perf_counter() - start < 1
+
+
+def _fan(n):
+    """The hub n - 1 joined to every vertex of the path 0..n-2, all
+    edge colors distinct: one rainbow C_k for each k - 1 consecutive
+    path vertices."""
+    hub = n - 1
+    return build(n, [(i, hub, i) for i in range(hub)]
+                 + [(i, i + 1, hub + i) for i in range(hub - 1)])
+
+
+def test_cycle_tables_are_not_quadratic_at_a_hub_labeled_last():
+    # in id order every vertex's table scans the hub's 4,000 neighbors
+    # (on a 2-CPU host, about 9 s for the star at 4 and 57 s for the fan
+    # at 6); in degree order the hub is the root of its cycles
+    star = build(4001, [(i, 4000, i) for i in range(4000)])
+    fan = _fan(4001)
+    for g, counts in ((star, (0, 0, 0, 0)), (fan, (3999, 3998, 3997, 3996))):
+        for ell, count in zip(range(3, 7), counts):
+            start = time.perf_counter()
+            assert len(enumerate_rainbow_cycles(g, ell)) == count
+            assert time.perf_counter() - start < 1, (g.n, ell)
+
+
+def test_degree_ordered_roots_keep_the_id_orientation():
+    # small graphs whose hubs come last, so the roots go by degree and
+    # each witness is turned back to start at its minimal vertex
+    rng = Random(2929)
+    graphs = [_fan(9),
+              build(9, [(i, 8, i) for i in range(8)]
+                    + [(i, i + 1, 8 + i // 2) for i in range(0, 8, 2)])]
+    for _ in range(60):
+        n = rng.randint(5, 9)
+        pairs = {(v, n - 1) for v in range(n - 1) if rng.random() < 0.9}
+        pairs |= {tuple(sorted(rng.sample(range(n - 1), 2)))
+                  for _ in range(rng.randint(0, n))}
+        colors = rng.randint(3, len(pairs) + 1)
+        graphs.append(build(n, [(u, v, rng.randrange(colors))
+                                for u, v in pairs]))
+    fired = found = 0
+    for g in graphs:
+        if rainbow._root_order(g.adjacency) is None:
+            continue
+        fired += 1
+        for ell in range(3, g.n + 1):
+            expected = naive_rainbow_cycles(g, ell)
+            assert rainbow._cycles(g, ell) == expected, (g.n, g.edges, ell)
+            found += len(expected)
+    assert fired >= 20 and found
+    assert all(rainbow._root_order(g.adjacency) is not None
+               for g in graphs[:2])
+
+
+@pytest.mark.parametrize("enumerate_, ell", [(enumerate_rainbow_paths, 3),
+                                             (enumerate_rainbow_cycles, 4)])
+def test_enumerations_leave_the_collector_as_they_found_it(monkeypatch,
+                                                          enumerate_, ell):
+    # the collector is off during the walk and back after it, also when
+    # the walk raises; a caller that had it off keeps it off
+    was = gc.isenabled()
+    real = rainbow._walk
+    seen = []
+
+    def walk(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            monkeypatch.setattr(rainbow, "_walk", walk)
+            assert enumerate_(d_star(4), ell)
+            assert seen and not any(seen)
+            assert gc.isenabled() is enabled
+            seen.clear()
+
+            def fail(*args):
+                raise RuntimeError("walk failed")
+
+            monkeypatch.setattr(rainbow, "_walk", fail)
+            with pytest.raises(RuntimeError, match="walk failed"):
+                enumerate_(d_star(4), ell)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_concurrent_enumerations_turn_the_collector_back_on():
+    # the collector's switch is shared by the process: whichever call
+    # found it on turns it back on, so overlapping calls end with it on
+    was = gc.isenabled()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gc.enable()
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(f, d_star(6), ell) for f, ell in
+                       ((enumerate_rainbow_cycles, 6),
+                        (enumerate_rainbow_paths, 5)) * 4]
+            counts = [len(f.result(timeout=60)) for f in futures]
+        assert counts == [1920, 11520] * 4
+        assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable() if was else gc.disable()
 
 
 def test_count_per_edge_uniform_24_on_d_star5():
