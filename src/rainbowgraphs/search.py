@@ -55,11 +55,17 @@ recounted: a new class's count is its parent's plus the cycles through
 its new edge (u, v, c), which are the parent's rainbow P_(ell-1) between
 u and v that avoid c (rainbow.rainbow_paths_between, one walk on the
 parent), so evaluating a class reads an int; only the witness is
-recounted, on a fresh build. No bound cuts a representative: a cut by
-the paper's per-edge capacity (2*ell-3)^(ell-2) times the edges still
-addable can beat the incumbent only when at most a few edges are
-addable, which at these n spares no measurable work. `pruned_bound`
-stays in the statistics, always 0.
+recounted, on a fresh build.
+
+Edge cut (max_edges, colors None): _threshold(n, ell) is the edge count
+T of an explicit rainbow-P_ell-free coloring, a floor on the optimum.
+The constraint is closed under edge deletion, so each pair added on the
+way to a descendant of a class is addable in it: it takes a free old
+color or the new one. A class whose edges and addable pairs fall short
+of T is evaluated and its candidates are tried, but its children are
+dropped and it counts in `pruned_bound`. Each class on an optimum's
+deletion chain bounds at least the optimum, so the value, witness,
+optima and `levels` stay; a complete run that ends below T is an error.
 
 Everything runs in the caller's thread in a fixed order (`threads` is
 validated but idle), so value, witness bytes, node counts and budget
@@ -202,9 +208,11 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
     free at u and at v (its bit is clear in both endpoints' color masks),
     so every child is proper. A child adds a non-edge u < v to g's valid
     edges, so it is normalized without build()'s checks, and it carries
-    that edge, in g's colors, as _cache["added"]. Lazy, so a node budget
-    stops the work at the exact candidate that breaches it."""
+    that edge, in g's colors, as _cache["added"], and each infeasible
+    candidate (u, v, c) joins the set g._cache["dead"]. Lazy, so a node
+    budget stops the work at the exact candidate that breaches it."""
     n, nbr, edges = g.n, g.neighbor_colors, g.edges
+    dead = g._cache.setdefault("dead", set())
     k = g.num_colors
     new = [k] if p.colors is None or k < p.colors else []
     deg = [len(row) for row in nbr]
@@ -263,11 +271,49 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
             if pair * n + size[c] + 1 < bound or pair < top_pair[c]:
                 yield "pruned_duplicate"
             elif has_rainbow_path_through(g, u, v, c, p.ell):
+                dead.add((u, v, c))
                 yield "pruned_infeasible"
             else:
                 child = _normalized(n, edges + ((u, v, c),))
                 child._cache["added"] = (u, v, c)
                 yield child
+
+
+def _threshold(n: int, ell: int) -> int:
+    """Edges of a rainbow-P_ell-free proper coloring on n vertices:
+    n // 2^(ell-1) blocks d_star(ell), and on the r vertices left K_r if
+    r <= ell, else ell - 1 (near-)perfect matchings of a 1-factorization
+    of K_r. 0, no cut, at ell < 3 or below one block."""
+    size = 1 << (ell - 1)
+    if ell < 3 or n < size:
+        return 0
+    r = n % size
+    return n // size * ell * size // 2 + (
+        r * (r - 1) // 2 if r <= ell else (ell - 1) * (r // 2))
+
+
+def _reaches(g: EdgeColoredGraph, ell: int, need: int, live: set) -> bool:
+    """Whether at least `need` non-edges of g take a feasible color; the
+    pairs in `live` do, and count first. A rainbow P_ell through (u, v, c)
+    stays rainbow with c recolored to the new color k, so k is feasible
+    only where each free old color is: it is tried only where none is
+    free. No verdict in g._cache["dead"] is tested again, and the count
+    stops once it is decided either way."""
+    nbr, k = g.neighbor_colors, g.num_colors
+    dead = g._cache.get("dead", ())
+    colors_at = [sum(1 << c for c in row.values()) for row in nbr]
+    todo = [(u, v) for u, v in combinations(range(g.n), 2)
+            if v not in nbr[u] and (u, v) not in live]
+    have, left = len(live), len(todo)
+    for u, v in todo:
+        if have >= need or have + left < need:
+            break
+        left -= 1
+        used = colors_at[u] | colors_at[v]
+        have += any((u, v, c) not in dead
+                    and not has_rainbow_path_through(g, u, v, c, ell)
+                    for c in [c for c in range(k) if not used >> c & 1] or [k])
+    return have >= need
 
 
 def _eligible(g: EdgeColoredGraph, p: SearchProblem) -> bool:
@@ -294,6 +340,9 @@ def _run(p: SearchProblem):
     level = [root]
     gens_of: dict = {}
     counts = {root: 0} if p.objective == "max_rainbow_cycles" else None
+    # the edge cut's T (module docstring); 0 turns it off
+    floor = _threshold(p.n, p.ell) \
+        if p.objective == "max_edges" and p.colors is None else 0
     while level and truncated is None:
         stats["levels"] += 1
         children: dict = {}
@@ -312,6 +361,7 @@ def _run(p: SearchProblem):
                     optima = [ck]
                 elif val == best:
                     optima.append(ck)
+            fresh = []
             for child in _extend_one(g, p, gens_of.get(ck, b"")):
                 stats["nodes"] += 1
                 if stats["nodes"] > p.node_budget:
@@ -319,7 +369,14 @@ def _run(p: SearchProblem):
                     break
                 if isinstance(child, str):
                     stats[child] += 1
-                    continue
+                else:
+                    fresh.append(child)
+            if floor > g.m and truncated is None and not _reaches(
+                    g, p.ell, floor - g.m,
+                    {c._cache["added"][:2] for c in fresh}):
+                stats["pruned_bound"] += 1
+                fresh = []
+            for child in fresh:
                 key = canonical_key(child)
                 if key in children:
                     stats["pruned_duplicate"] += 1
@@ -344,6 +401,9 @@ def _run(p: SearchProblem):
     stats["wall_time_s"] = time.perf_counter() - t0
     stats["truncated_by"] = truncated
     value = 0 if best is None else best
+    if truncated is None and value < floor:
+        raise RuntimeError(f"search found {value} edges, below the "
+                           f"{floor} of the lower-bound construction")
     ordered = tuple(graph_of_key(k) for k in sorted(optima))
     return value, ordered, per_k, stats, truncated is None
 

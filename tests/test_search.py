@@ -1,7 +1,8 @@
 """Exhaustive extremal search: frozen small-n values, the full optima
 list against every optimal labeled coloring of the brute-force reference,
-the canonical-deletion filter against brute-force levels, budget
-truncation, thread determinism, and that no worker thread runs.
+the canonical-deletion filter against brute-force levels, the edge cut
+against no cut, budget truncation, thread determinism, and that no
+worker thread runs.
 
 Every frozen value below was first computed with the unpruned naive
 reference (all edge subsets x all matching partitions); the acceptance
@@ -26,7 +27,8 @@ from rainbowgraphs.constructions import d_star, lower_bound_graph
 from rainbowgraphs.corpus import rainbow_free_instances, random_proper_graph
 from rainbowgraphs.graph_io import result_to_dict
 from rainbowgraphs.rainbow import enumerate_rainbow_cycles, has_rainbow_path
-from rainbowgraphs.reference import naive_colorings, naive_search
+from rainbowgraphs.reference import (_has_rainbow_path_brute,
+                                     naive_colorings, naive_search)
 from rainbowgraphs.search import (ColorProbeTable, ExtremalResult,
                                   SearchProblem, _extend_one, _orbit_maps,
                                   _verify_witness_graph, probe_color_count,
@@ -65,7 +67,7 @@ FROZEN = {
 #: so a change that skips candidates, misses a symmetry, or extends a
 #: class twice, moves them.
 NODES = {
-    (8, 3, "max_edges"): 4975,
+    (8, 3, "max_edges"): 4151,
     (7, 4, "max_rainbow_cycles"): 16989,
     (6, 5, "max_rainbow_cycles"): 24565,
     (5, 5, "max_rainbow_cycles"): 826,
@@ -76,7 +78,7 @@ NODES = {
 #: child. A filter that keeps `nodes` but moves a candidate from one
 #: counter to the other shows here.
 SPLIT = {
-    (8, 3, "max_edges"): (1232, 3415),
+    (8, 3, "max_edges"): (831, 3018),
     (7, 4, "max_rainbow_cycles"): (2031, 14012),
     (6, 5, "max_rainbow_cycles"): (485, 22172),
     (5, 5, "max_rainbow_cycles"): (0, 639),
@@ -85,9 +87,11 @@ SPLIT = {
 #: result_to_dict with the node counters removed, over n 3..6 x ell 1..5 x
 #: both objectives with all_optima, except n = 6, ell = 5, which
 #: tests_frontier hashes; first computed before orbit pruning existed, and
-#: re-pinned only for `pruned_bound`, 0 since the capacity cut was deleted.
+#: re-pinned only where `pruned_bound` and `evaluated` moved: the edge cut
+#: drops classes of max_edges runs at n >= 2^(ell-1). With those two
+#: dropped as well, the grid hashes to 06637e179e8e... with or without it.
 GRID_DIGEST = (
-    "8121a219b0ca78ddf30cbffe94d82086c2a26802839eb78258db20b639723948")
+    "eb622c3f5a8695d53938ccfd38253492dc6033613998bf0c99daa06205d86e1c")
 NODE_COUNTERS = ("nodes", "pruned_infeasible", "pruned_duplicate")
 
 
@@ -199,13 +203,13 @@ def test_no_thread_is_started(monkeypatch):
 
 def test_node_budget_truncates_deterministically():
     full = solve(SearchProblem(4, 3, "max_edges"))
-    truncated = [solve(SearchProblem(4, 3, "max_edges", node_budget=20,
+    truncated = [solve(SearchProblem(4, 3, "max_edges", node_budget=10,
                                      threads=t)) for t in (1, 2, 8)]
     for res in truncated:
         assert not res.exhaustive
         assert 0 <= res.value <= full.value
         # the node that breaches the budget is still counted
-        assert res.stats["nodes"] <= 21 < full.stats["nodes"]
+        assert res.stats["nodes"] <= 11 < full.stats["nodes"]
         assert res.stats["truncated_by"] == "nodes"
     blobs = {json.dumps(result_to_dict(r), sort_keys=True) for r in truncated}
     assert len(blobs) == 1
@@ -538,3 +542,71 @@ def test_grid_output_bytes_are_frozen():
                     del doc["stats"][key]
                 h.update(json.dumps(doc, sort_keys=True).encode())
     assert h.hexdigest() == GRID_DIGEST
+
+
+def _threshold_graph(n, ell):
+    """lower_bound_graph(n, ell), and on the r vertices it leaves
+    isolated K_r if r <= ell, else ell - 1 (near-)perfect matchings: the
+    rounds of the round-robin 1-factorization of K_(r + r % 2), with the
+    edges at the extra vertex of an odd r left out."""
+    size = 1 << (ell - 1)
+    base, r = n - n % size, n % size
+    even = r + r % 2
+    rounds = [[(c, even - 1)] + [((c + i) % (even - 1), (c - i) % (even - 1))
+                                 for i in range(1, even // 2)]
+              for c in range(even - 1)]
+    if r > ell:
+        rounds = rounds[:ell - 1]
+    filler = [(base + u, base + v, ell + c) for c, pairs in enumerate(rounds)
+              for u, v in pairs if max(u, v) < r]
+    return build(n, lower_bound_graph(n, ell).edges + tuple(filler))
+
+
+def test_edge_cut_threshold_is_attained_by_a_path_free_coloring():
+    # T is the edge count of an explicit proper rainbow-P_ell-free
+    # coloring, so no optimum lies below it; n 13..15 at ell 4 leave more
+    # than ell vertices beside the block, where the matchings take over
+    points = [(n, ell) for ell in range(3, 9) for n in range(2, 11)
+              if n >= 1 << (ell - 1)] + [(13, 4), (14, 4), (15, 4)]
+    assert len(points) == 13
+    for n, ell in points:
+        g = _threshold_graph(n, ell)
+        assert is_properly_colored(g)
+        assert not has_rainbow_path(g, ell)
+        if n <= 8:
+            assert not _has_rainbow_path_brute(n, g.neighbor_colors, ell)
+        assert g.m == search._threshold(n, ell) > 0, (n, ell)
+    # no cut below one block, nor where no construction exists
+    assert search._threshold(7, 4) == search._threshold(10, 2) == 0
+
+
+@pytest.mark.parametrize("n,ell", [(n, 3) for n in range(4, 10)] + [(8, 4)])
+def test_edge_cut_keeps_every_optimum(n, ell, monkeypatch):
+    # T = 0 turns the cut off; value, witness, optima and levels must not
+    # see it, and it must fire at every point
+    p = SearchProblem(n, ell, "max_edges", all_optima=True)
+    cut = solve(p)
+    monkeypatch.setattr(search, "_threshold", lambda n, ell: 0)
+    full = solve(p)
+    assert cut.exhaustive and full.exhaustive
+    assert cut.value == full.value
+    assert cut.witness.edges == full.witness.edges
+    assert [g.edges for g in cut.optima] == [g.edges for g in full.optima]
+    assert cut.stats["levels"] == full.stats["levels"]
+    assert cut.stats["pruned_bound"] > 0 == full.stats["pruned_bound"]
+    assert cut.stats["nodes"] <= full.stats["nodes"]
+
+
+def test_edge_cut_refuses_a_threshold_above_the_optimum(monkeypatch):
+    # every class falls short of a T above the optimum 6, so the run
+    # ends below it, which a sound T never allows
+    monkeypatch.setattr(search, "_threshold", lambda n, ell: 7)
+    with pytest.raises(RuntimeError, match=(
+            "^search found 0 edges, below the 7 of the lower-bound "
+            "construction$")):
+        solve(SearchProblem(4, 3, "max_edges"))
+    # a truncated run proves nothing, and colors or cycles turn the cut off
+    assert not solve(SearchProblem(4, 3, "max_edges",
+                                   time_budget=0.0)).exhaustive
+    assert solve(SearchProblem(4, 3, "max_edges", colors=3)).value == 6
+    assert solve(SearchProblem(4, 3, "max_rainbow_cycles")).value == 4

@@ -81,6 +81,23 @@ def test_frontier_value_equals_construction_count(n, ell):
                                                      ell))
 
 
+#: (nodes, pruned_bound) of max_edges runs the edge cut prunes: it drops
+#: the children of each class whose edges and addable pairs fall short of
+#: the lower-bound construction's edge count.
+EDGE_CUT = {
+    # rainbowgraphs search --n 10 --ell 3 --objective edges
+    (10, 3): (41203, 142),
+    # rainbowgraphs search --n 9 --ell 4 --objective edges
+    (9, 4): (928475, 6885),
+}
+
+
+@pytest.mark.parametrize("n,ell", list(EDGE_CUT))
+def test_edge_cut_counters_are_pinned(n, ell):
+    stats = _solve(n, ell, "max_edges").stats
+    assert (stats["nodes"], stats["pruned_bound"]) == EDGE_CUT[(n, ell)]
+
+
 def test_n6_l5_output_bytes_are_frozen():
     # the n = 6, ell = 5 end of tier-1's grid digest, first computed
     # before orbit pruning existed; only the node counters may change
