@@ -29,15 +29,18 @@ are then turned back to the id orientation. The witnesses hold no
 reference cycle, so both enumerations pause the cyclic collector,
 which would sweep the heap again and again as the list grows.
 
-`has_rainbow_path` at ell >= 6 meets in the middle: one table per
-vertex holds its rainbow halves of ell//2 edges, and a path's middle
-vertex (even ell) or middle edge (odd ell) joins two halves with
+`has_rainbow_path` at ell >= 5 meets in the middle, one connected
+component at a time, its vertices renumbered 0..size-1 in breadth-first
+order so that vertex masks span the component, not the graph (one that
+spans the graph keeps its ids). A component with at most ell vertices
+or fewer than ell colors holds no rainbow P_ell and is skipped. One
+table per vertex holds its rainbow halves of ell//2 edges, and a path's
+middle vertex (even ell) or middle edge (odd ell) joins two halves with
 disjoint color and vertex masks. Each table is walked once while the
-tables kept between middles hold at most `HALF_CEILING` halves, so a
-vertex walks about Delta^(ell/2) halves where each start walked about
-Delta^ell paths. Below 6, or where one table could take more bytes
-than `HALF_CEILING` halves on 64 vertices, the walk from every start
-runs instead.
+tables kept between middles fit in the bytes of `HALF_CEILING` halves on
+64 vertices, so a vertex walks about Delta^(ell/2) halves where each
+start walked about Delta^ell paths. Below 5, or where one table could
+take more than those bytes, the walk from every start runs instead.
 
 Each subgraph copy is stored once: a path starts at its smaller
 endpoint, its leaf taking the last edge only to an end above the start;
@@ -62,13 +65,14 @@ from .colored_graph import EdgeColoredGraph
 #: colors).
 MAX_LEN = 62
 
-#: Largest number of halves `has_rainbow_path` may hold. One table can
-#: hold Delta * (Delta - 1)^(h - 1) halves of h edges, each a vertex mask
-#: in a list, about n/8 + 40 bytes on n vertices; where that passes what
-#: the cap takes at 48 bytes a half (64 vertices), the walk from every
+#: Largest number of halves `has_rainbow_path` may hold on 64 vertices,
+#: its bytes the budget on any component. One table can hold
+#: Delta * (Delta - 1)^(h - 1) halves of h edges, each a vertex mask in a
+#: list, about n/8 + 40 bytes on a component of n vertices; where that
+#: passes what the cap takes at 48 bytes a half, the walk from every
 #: start runs, which on a graph rich in rainbow paths stops at its first
-#: leaf. The tables kept for later middles hold at most the cap together;
-#: past it a table is walked again for each middle.
+#: leaf. The tables kept for later middles fit in those bytes together;
+#: past them a table is walked again for each middle.
 HALF_CEILING = 1 << 18
 
 
@@ -317,21 +321,25 @@ def _stop(*_) -> bool:
 def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     """True iff some rainbow path with exactly ell edges exists.
 
-    At ell >= 6 each vertex's table holds its rainbow halves of h = ell//2
+    At ell >= 5 the test runs on each connected component with more than
+    ell vertices and at least ell colors, renumbered in breadth-first
+    order. Each vertex's table holds its rainbow halves of h = ell//2
     edges as vertex masks (the vertex left out) grouped by color mask. At
     even ell a path's middle vertex m joins two halves of m's table with
     disjoint color and vertex masks. At odd ell a path's middle edge
     (x, y, c) joins a half of x's table to one of y's: disjoint as
     before, neither using c, x's avoiding y and y's avoiding x. A table
     serves every middle edge at its vertex and is dropped after the last;
-    the tables kept between middles hold at most `HALF_CEILING` halves,
-    and past that a table is walked again for each middle. Below 6, and
-    where Delta * (Delta - 1)^(h - 1) halves of about n/8 + 40 bytes pass
-    48 * `HALF_CEILING` bytes (one table could be huge), a walk runs from
-    every start and stops at the first full-length path. On path-free
-    graphs the tables were 1.6-2x slower at ell 3 and 4 and 2-3.4x faster
-    at 5, but at 5 they were 10x slower where a walk finds a path at once
-    (`d_star(6)`: 0.1 ms against 0.01 ms).
+    the tables kept between middles weigh at most 48 * `HALF_CEILING`
+    bytes, a half about size // 8 + 40 of them on a component of `size`
+    vertices, and past that a table is walked again for each middle.
+    Below 5, and where Delta * (Delta - 1)^(h - 1) halves pass those
+    bytes (one table could be huge), a walk runs from every
+    start and stops at the first full-length path. At ell 3 and 4 the
+    tables were 1.6-2x slower on path-free graphs; at 5 they are about 3x
+    faster there (`d_star(5)`: 0.55 ms against 1.6 ms) and a few times
+    slower where a walk finds a path at once (`d_star(6)`: 0.15 ms
+    against 0.08 ms).
     """
     _check_args(ell, 1)
     key = ("haspath", ell)
@@ -362,20 +370,19 @@ def _meets(left: dict, right: dict, cmask: int, vmask: int) -> bool:
     # some half of `left` and some half of `right` share no color and no
     # vertex, and neither uses a color of cmask or a vertex of vmask; a
     # table met with itself pairs each two color masks once
-    rows = [(cm, [vm for vm in group if not vm & vmask])
-            for cm, group in right.items() if not cm & cmask]
     for cm, vms in left.items():
         if cm & cmask:
             continue
-        fits = [vm for other, group in rows
-                if not other & cm and (left is not right or other > cm)
-                for vm in group]
-        for vm in vms:
-            if vm & vmask:
+        busy = cm | cmask
+        for other, group in right.items():
+            if other & busy or left is right and other <= cm:
                 continue
-            for other in fits:
-                if not vm & other:
-                    return True
+            for vm in vms:
+                if not vm & vmask:
+                    vm |= vmask
+                    for wm in group:
+                        if not vm & wm:
+                            return True
     return False
 
 
@@ -384,34 +391,71 @@ def _has_path(g: EdgeColoredGraph, ell: int) -> bool:
     if ell > min(g.num_colors, g.n - 1):
         return False
     adj = g.adjacency
+    if ell < 5:
+        return any(_walk(adj, [s], [], 0, ell, _stop) for s in range(g.n))
+    return any(_joins(sub, ell) for sub in _components(adj, ell))
+
+
+def _components(adj, ell: int):
+    # the connected components with more than ell vertices and at least
+    # ell colors, each as an adjacency of its own, its vertices renumbered
+    # 0..size-1 in breadth-first order; a component spanning the graph
+    # keeps its ids
+    n = len(adj)
+    at = [-1] * n
+    for s in range(n):
+        if at[s] >= 0:
+            continue
+        at[s] = 0
+        order = [s]
+        for x in order:
+            for y, _ in adj[x]:
+                if at[y] < 0:
+                    at[y] = len(order)
+                    order.append(y)
+        if len(order) == n:
+            yield adj
+        elif (len(order) > ell
+              and len({c for v in order for _, c in adj[v]}) >= ell):
+            yield [[(at[y], c) for y, c in adj[v]] for v in order]
+
+
+def _joins(adj, ell: int) -> bool:
+    # the path test on one component: the half tables, or the walk from
+    # every start where one table could take more than 48 * HALF_CEILING
+    # bytes, a half's vertex mask about n/8 + 40 of them
+    n = len(adj)
     h = ell // 2
     top = max(map(len, adj))
-    if ell < 6 or (top * (top - 1) ** (h - 1) * (g.n // 8 + 40)
-                   > 48 * HALF_CEILING):
-        return any(_walk(adj, [s], [], 0, ell, _stop) for s in range(g.n))
+    weight = n // 8 + 40
+    if top * (top - 1) ** (h - 1) * weight > 48 * HALF_CEILING:
+        return any(_walk(adj, [s], [], 0, ell, _stop) for s in range(n))
     # the middles (x, y, color mask): each vertex (m, m, 0) at even ell,
     # each edge (x, y, 1 << c) with x < y at odd ell
     if ell % 2:
-        middles = [(x, y, 1 << c) for x in range(g.n) for y, c in adj[x]
+        middles = [(x, y, 1 << c) for x in range(n) for y, c in adj[x]
                    if x < y]
     else:
-        middles = [(m, m, 0) for m in range(g.n)]
-    last = {}
+        middles = [(m, m, 0) for m in range(n)]
+    last = [0] * n
     for i, (x, y, _) in enumerate(middles):
         last[x] = last[y] = i
-    # tables kept for a later middle, `held` halves in all
+    # tables kept for a later middle, `held` halves in all, weighed
+    # against the same bytes as one table
     kept: dict[int, dict] = {}
     held = 0
+    cap = 48 * HALF_CEILING // weight
     for i, (x, y, cmask) in enumerate(middles):
         pair = []
-        for v in dict.fromkeys((x, y)):
+        for v in (x, y) if x != y else (x,):
             table = kept.get(v)
             if table is None:
                 table = _halves(adj, v, h)
-                size = sum(map(len, table.values()))
-                if last[v] > i and held + size <= HALF_CEILING:
-                    kept[v] = table
-                    held += size
+                if last[v] > i:
+                    size = sum(map(len, table.values()))
+                    if held + size <= cap:
+                        kept[v] = table
+                        held += size
             elif last[v] == i:
                 del kept[v]
                 held -= sum(map(len, table.values()))

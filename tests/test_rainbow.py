@@ -23,7 +23,8 @@ import rainbowgraphs
 from rainbowgraphs import rainbow
 from rainbowgraphs.colored_graph import (build, canonical_key, graph_of_key,
                                          is_properly_colored)
-from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
+from rainbowgraphs.constructions import (d_star, disjoint_union, hypercube,
+                                        lower_bound_graph)
 from rainbowgraphs.corpus import (_greedy_color, rainbow_free_instances,
                                   random_colored_graph, random_proper_graph)
 from rainbowgraphs.rainbow import (HALF_CEILING, MAX_LEN, RainbowWitness,
@@ -117,11 +118,16 @@ def test_large_cube_path_test_weighs_its_half_tables_in_bytes():
     # under HALF_CEILING, but each vertex mask spans 4,096 bits: the
     # table would take about 80 MB where the walk from the first start
     # stops at its first leaf. Measured in a fresh process (about 23 MB
-    # for the interpreter and the cube), under a parent of its own, whose
-    # only waited-for child it is.
+    # for the interpreter and the cube).
     check = ("from rainbowgraphs.constructions import hypercube\n"
              "from rainbowgraphs.rainbow import has_rainbow_path\n"
              "assert has_rainbow_path(hypercube(12), 11)\n")
+    assert _peak_rss_kib(check) < 35 * 1024
+
+
+def _peak_rss_kib(check: str) -> int:
+    """Peak RSS of a fresh process that runs `check`, measured under a
+    parent of its own, whose only waited-for child it is."""
     measure = ("import resource, subprocess, sys\n"
                "subprocess.run([sys.executable, '-c', sys.argv[1]],\n"
                "               check=True)\n"
@@ -131,7 +137,24 @@ def test_large_cube_path_test_weighs_its_half_tables_in_bytes():
     out = subprocess.run([sys.executable, "-c", measure, check], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert int(out.stdout) < 35 * 1024  # KiB
+    return int(out.stdout)
+
+
+def test_shuffled_construction_path_test_weighs_tables_per_component():
+    # lower_bound_graph(2048, 7) is 32 blocks of d_star(7); under shuffled
+    # ids a vertex mask of the whole graph spans 2,048 bits, and the kept
+    # tables took about 84 MB. Per component they span 64 bits and peak
+    # at about 19 MB, in about 0.8 s on a 2-CPU host
+    check = ("from random import Random\n"
+             "from rainbowgraphs.colored_graph import build\n"
+             "from rainbowgraphs.constructions import lower_bound_graph\n"
+             "from rainbowgraphs.rainbow import has_rainbow_path\n"
+             "g = lower_bound_graph(2048, 7)\n"
+             "ids = list(range(g.n))\n"
+             "Random(7).shuffle(ids)\n"
+             "g = build(g.n, [(ids[u], ids[v], c) for u, v, c in g.edges])\n"
+             "assert not has_rainbow_path(g, 7)\n")
+    assert _peak_rss_kib(check) < 35 * 1024
 
 
 def test_length_above_color_count_returns_before_any_walk(monkeypatch):
@@ -837,13 +860,14 @@ def _split_case(rng, proper, sizes=(7, 9), palettes=(4, 9),
 
 
 def test_split_path_test_matches_brute_force():
-    # at ell 6 and 7 and degree <= 8 has_rainbow_path joins two halves at
-    # a middle vertex whenever the graph has ell or more colors
+    # at ell 5 to 7 and degree <= 8 has_rainbow_path joins two halves at a
+    # middle vertex or edge of each component with more than ell vertices
+    # and ell or more colors
     rng = Random(52)
     outcomes = set()
     for i in range(24):
         g = _split_case(rng, proper=i % 2 == 0)
-        for ell in (6, 7):
+        for ell in (5, 6, 7):
             got = has_rainbow_path(g, ell)
             assert got == _has_rainbow_path_brute(g.n, g.neighbor_colors, ell)
             if g.num_colors >= ell:
@@ -880,17 +904,22 @@ def _middle_clash_cases(ell):
     one middle edge (x, y, c), where an h-edge half from x and one from
     y share no color and no vertex: in `clash` y's half uses c, in
     `lollipop` x's half ends at y, and `rainbow_path` is `clash` with
-    rainbow colors. Each graph comes again with its vertices numbered
-    backwards, so that the deciding half lies once in the table of the
-    smaller end and once in that of the larger."""
+    rainbow colors. Each graph is connected, with more than ell vertices
+    and ell colors, so the tables decide it under its own ids. Each comes
+    again with its vertices numbered backwards, so that the deciding half
+    lies once in the table of the smaller end and once in that of the
+    larger."""
     h = ell // 2
-    clash = build(ell + 3, [(i, i + 1, i) for i in range(ell - 1)]
-                  + [(ell - 1, ell, h), (ell + 1, ell + 2, ell - 1)])
+    # the path 0..ell repeating color h on its last edge, and a pendant
+    # edge at h in color ell - 1, on no path of ell edges
+    clash = build(ell + 2, [(i, i + 1, i) for i in range(ell - 1)]
+                  + [(ell - 1, ell, h), (h, ell + 1, ell - 1)])
     rainbow_path = build(ell + 1, [(i, i + 1, i) for i in range(ell)])
     # the cycle 0..h closed by the middle edge (h, 0), the tail h..2h and
-    # one isolated vertex: ell vertices in the component, too few for a P_ell
+    # a pendant edge at 2h in color 0, which each way round the cycle
+    # repeats
     lollipop = build(ell + 1, [(i, i + 1, i) for i in range(ell - 1)]
-                     + [(h, 0, ell - 1)])
+                     + [(h, 0, ell - 1), (ell - 1, ell, 0)])
     cases = []
     for g, verdict in ((clash, False), (rainbow_path, True),
                        (lollipop, False)):
@@ -900,12 +929,60 @@ def _middle_clash_cases(ell):
     return cases
 
 
-@pytest.mark.parametrize("ell", [7, 9])
-def test_middle_edge_join_excludes_its_color_and_its_ends(ell):
+@pytest.mark.parametrize("ell", [5, 7, 9])
+def test_middle_edge_join_excludes_its_color_and_its_ends(ell, monkeypatch):
+    meets = rainbow._meets
+    joins = []
+
+    def counting(*args):
+        joins.append(args)
+        return meets(*args)
+
+    monkeypatch.setattr(rainbow, "_meets", counting)
     for g, verdict in _middle_clash_cases(ell):
+        joins.clear()
         assert g.num_colors >= ell and g.n > ell
         assert _has_rainbow_path_brute(g.n, g.neighbor_colors, ell) == verdict
         assert has_rainbow_path(g, ell) == verdict
+        assert joins
+
+
+def _d_star5_with_a_p5(rng):
+    """d_star(5) with one non-edge added in a random color, drawn until
+    the new edge opens a rainbow P_5."""
+    base = d_star(5)
+    while True:
+        u, v = rng.sample(range(base.n), 2)
+        if v not in base.neighbor_colors[u]:
+            g = build(base.n, base.edges + ((u, v, rng.randrange(6)),))
+            if _has_rainbow_path_brute(g.n, g.neighbor_colors, 5):
+                return g
+
+
+def test_path_test_finds_the_only_p5_in_a_later_component():
+    # two d_star(5) blocks, a 9-vertex path in 4 colors (too few colors)
+    # and a K_4 in 6 colors (too few vertices), then a block with a rainbow
+    # P_5, under shuffled ids that put that block's least id after every
+    # other block's: a d_star(5) with one edge added, or the P_5 alone
+    rng = Random(65)
+    k4 = build(4, [(u, v, i) for i, (u, v) in
+                   enumerate(combinations(range(4), 2))])
+    free = disjoint_union([d_star(5), d_star(5),
+                           build(9, [(i, i + 1, i % 4) for i in range(8)]),
+                           k4])
+    blocks = [range(0, 16), range(16, 32), range(32, 41), range(41, 45)]
+    for i in range(6):
+        holder = (_d_star5_with_a_p5(rng) if i % 2 else
+                  build(6, [(j, j + 1, c)
+                            for j, c in enumerate(rng.sample(range(5), 5))]))
+        union = disjoint_union([free, holder])
+        ids = list(range(union.n))
+        while min(ids[free.n:]) < max(min(ids[v] for v in b) for b in blocks):
+            rng.shuffle(ids)
+        for edges, verdict in ((free.edges, False), (union.edges, True)):
+            g = build(union.n, [(ids[a], ids[b], c) for a, b, c in edges])
+            assert _has_rainbow_path_brute(g.n, g.neighbor_colors, 5) == verdict
+            assert has_rainbow_path(g, 5) == verdict
 
 
 @pytest.mark.parametrize("ell", [8, 9])
@@ -944,6 +1021,22 @@ def test_each_half_table_is_walked_once(monkeypatch):
     g = d_star(7)
     assert not has_rainbow_path(g, 7)
     assert len(roots) <= g.n
+
+
+def test_p5_free_constructions_walk_each_half_table_once(monkeypatch):
+    # at ell 5 each middle edge joins the tables of its ends: one root walk
+    # per vertex, each a table's, numbered within its 16-vertex block
+    roots = _count_root_walks(monkeypatch)
+    halves = rainbow._halves
+    tables = []
+    monkeypatch.setattr(rainbow, "_halves", lambda adj, v, h: (
+        tables.append(v) or halves(adj, v, h)))
+    for g in (d_star(5), lower_bound_graph(64, 5)):
+        roots.clear()
+        tables.clear()
+        assert not has_rainbow_path(g, 5)
+        assert sorted(roots) == sorted(tables) == sorted(
+            list(range(16)) * (g.n // 16))
 
 
 def test_capped_half_tables_keep_their_verdicts(monkeypatch):
