@@ -13,7 +13,10 @@ refined partition on an explicit stack and following only the least rows
 at each position; it starts with the isolated vertices placed in order.
 A graph caches two records of the walk: the key holding that code, from
 which the canonical graph is built, and the automorphism generators its
-tied leaves give, in the canonical graph's labels.
+tied leaves give, in the canonical graph's labels. A search child may
+carry automorphisms inherited from its parent (_cache["inherited"]);
+the walk then tries one of each orbit of tied siblings under those of
+them that fix the prefix. Public calls carry none and walk unpruned.
 """
 
 from __future__ import annotations
@@ -197,6 +200,35 @@ def _find(orbit: list[int], x: int) -> int:
     return x
 
 
+def _join(orbit: list[int], pairs) -> int:
+    # union each pair's orbits; the number of unions made
+    joins = 0
+    for x, y in pairs:
+        x, y = _find(orbit, x), _find(orbit, y)
+        if x != y:
+            orbit[x] = y
+            joins += 1
+    return joins
+
+
+def _orbit_mates(tied: list[int], maps) -> set[int]:
+    """The vertices of `tied` after the first of their orbit under the
+    group `maps` generate, which sends `tied` onto itself."""
+    seen = set()
+    mates = set()
+    for v in tied:
+        if v not in seen:
+            seen.add(v)
+            orbit = [v]
+            for x in orbit:  # grows to the whole orbit
+                for a in maps:
+                    if a[x] not in seen:
+                        seen.add(a[x])
+                        mates.add(a[x])
+                        orbit.append(a[x])
+    return mates
+
+
 def _canonical_code(g: EdgeColoredGraph):
     """Minimal flat edge-matrix code over all allowed vertex orderings,
     and automorphism generators of g in the code's labels.
@@ -233,6 +265,20 @@ def _canonical_code(g: EdgeColoredGraph):
     are interchangeable), so at most n - 1 are kept; once the orbits are
     as coarse as the cells, no tie can join two. The kept maps are
     conjugated into the code's labels, where vertex best_order[j] is j.
+
+    g._cache["inherited"], set by the search on a child, holds vertex
+    maps that are automorphisms of g fixing its isolated vertices: the
+    parent's generators that fix the new edge and its color (McKay 1998).
+    They seed the union-find, each kept if it joins two orbits. Each
+    stack entry carries those of them that fix its prefix pointwise (a
+    child's are its parent's that fix the vertex it adds), and of the
+    tied siblings only the first of each orbit they generate is pushed.
+    Such a map h fixes the prefix and preserves ranks and rows, so it
+    sends a skipped sibling's subtree onto a pushed one's with every
+    code kept: the minimum is unchanged, and every best leaf is the
+    image under the inherited group of one the walk reaches, so the
+    generators found, with the inherited ones, still have the vertex
+    orbits of the whole group. With none inherited nothing is pruned.
     Returns (code, generators).
     """
     n = g.n
@@ -259,27 +305,30 @@ def _canonical_code(g: EdgeColoredGraph):
                 for i, v in enumerate(order)
                 for c in map(nbr[v].get, order[:i])]
         return tuple(code), ()
-    autos: list[dict[int, int]] = []
+    inherited = g._cache.get("inherited", ())
+    autos: list = []
+    for a in inherited:
+        joins = _join(orbit, enumerate(a))
+        if joins:
+            orbits -= joins
+            autos.append(a)
 
     best: list | None = None
     best_order: tuple[int, ...] = iso
     rows: list = [(0,) * i for i in range(len(iso))]
-    stack: list = [(iso, {})]
+    # an entry's last part: the inherited maps that fix its prefix
+    stack: list = [(iso, {}, inherited)]
     while stack:
-        order, slot = stack.pop()
+        order, slot, stab = stack.pop()
         i = len(order)
         del rows[i:]
         if i == n:
             if best is None:
                 best, best_order = rows[:], order
             elif orbits > len(cells):
-                joined = orbits
-                for x, y in zip(best_order, order):
-                    x, y = _find(orbit, x), _find(orbit, y)
-                    if x != y:
-                        orbit[x] = y
-                        orbits -= 1
-                if orbits < joined:
+                joins = _join(orbit, zip(best_order, order))
+                if joins:
+                    orbits -= joins
                     autos.append(dict(zip(best_order, order)))
             continue
         placed = set(order)
@@ -310,14 +359,17 @@ def _canonical_code(g: EdgeColoredGraph):
                 best = None
         rows.append(least)
         grows = fresh + 1 in least  # the first unseen color's entry
+        skip = stab and _orbit_mates(
+            [v for row, v in children if row == least], stab)
         for row, v in reversed(children):
-            if row == least:
+            if row == least and v not in skip:
                 vslot = slot
                 if grows:
                     vslot = dict(slot)
                     for c in [nbr[v][u] for u in order if u in nbr[v]]:
                         vslot.setdefault(c, len(vslot))
-                stack.append((order + (v,), vslot))
+                stack.append((order + (v,), vslot,
+                              stab and [a for a in stab if a[v] == v]))
     assert best is not None
     at = [0] * n
     for pos, v in enumerate(best_order):

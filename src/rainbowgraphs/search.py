@@ -16,7 +16,10 @@ automorphisms give isomorphic children, so only the first of each orbit
 is tried. The generators come free from the canonical walk that found
 the parent's class (colored_graph.canonical_generators) and are kept,
 packed as bytes, for the classes that have any; the isolated vertices,
-all interchangeable, are read off the degrees instead.
+all interchangeable, are read off the degrees instead. The same
+generators prune the child's own canonical walk: those that fix the
+pair {u, v} and the color c are automorphisms of the child, and it
+inherits them, so its walk tries one of each orbit of tied siblings.
 
 Canonical deletion: deleting an edge of largest inv(x, y, d) = (min
 degree, max degree, size of class d) from a feasible graph with m+1
@@ -206,11 +209,14 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
     rainbow P_ell runs through its new edge; that is decided on g's own
     adjacency, and only feasible children are built. The new color is
     free at u and at v (its bit is clear in both endpoints' color masks),
-    so every child is proper. A child adds a non-edge u < v to g's valid
-    edges, so it is normalized without build()'s checks, and it carries
-    that edge, in g's colors, as _cache["added"], and each infeasible
-    candidate (u, v, c) joins the set g._cache["dead"]. Lazy, so a node
-    budget stops the work at the exact candidate that breaches it."""
+    so every child is proper, and is marked so. A child adds a non-edge
+    u < v to g's valid edges, so it is normalized without build()'s
+    checks, and it carries that edge, in g's colors, as _cache["added"],
+    and as _cache["inherited"] the vertex maps of the generators that
+    keep {u, v} as a pair and c as c, which its canonical walk prunes
+    with; each infeasible candidate (u, v, c) joins the set
+    g._cache["dead"]. Lazy, so a node budget stops the work at the exact
+    candidate that breaches it."""
     n, nbr, edges = g.n, g.neighbor_colors, g.edges
     dead = g._cache.setdefault("dead", set())
     k = g.num_colors
@@ -237,6 +243,7 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
     every = list(combinations(range(n), 2))
     pairs = [(i, u, v) for i, (u, v) in enumerate(every) if v not in nbr[u]]
     maps = []
+    autos = []  # (vertex map, color map) of each generator
     if gens is not None:
         # an isolated endpoint is the first isolated vertex, or the
         # second when the first is the other endpoint
@@ -248,8 +255,9 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
             index = [0] * (n * n)
             for i, (x, y) in enumerate(every):
                 index[x * n + y] = index[y * n + x] = i
+            autos = _orbit_maps(g, gens)
             maps = [([index[a[x] * n + a[y]] for x, y in every], cmap)
-                    for a, cmap in _orbit_maps(g, gens)]
+                    for a, cmap in autos]
             covered = [bytearray(k + 1) for _ in every]
     for i, u, v in pairs:
         du, dv = deg[u] + 1, deg[v] + 1
@@ -276,6 +284,11 @@ def _extend_one(g: EdgeColoredGraph, p: SearchProblem,
             else:
                 child = _normalized(n, edges + ((u, v, c),))
                 child._cache["added"] = (u, v, c)
+                child._cache["proper"] = True
+                inherited = tuple(a for a, cmap in autos if cmap[c] == c
+                                  and {a[u], a[v]} == {u, v})
+                if inherited:
+                    child._cache["inherited"] = inherited
                 yield child
 
 

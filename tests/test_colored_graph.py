@@ -15,7 +15,7 @@ from random import Random
 import pytest
 
 import rainbowgraphs
-from rainbowgraphs import colored_graph
+from rainbowgraphs import colored_graph, search
 from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
                                          build, canonical_form,
                                          canonical_generators, canonical_key,
@@ -23,6 +23,7 @@ from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
                                          is_properly_colored)
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
 from rainbowgraphs.corpus import _greedy_color, random_proper_graph
+from rainbowgraphs.rainbow import has_rainbow_path
 from rainbowgraphs.reference import matching_partitions
 
 
@@ -461,6 +462,17 @@ def _orbits(n, maps):
             if find(r) == r}
 
 
+def _isolated_swaps(n, iso):
+    """Transpositions of consecutive isolated vertices, which generate
+    their permutations."""
+    swaps = []
+    for x, y in zip(iso, iso[1:]):
+        swap = list(range(n))
+        swap[x], swap[y] = y, x
+        swaps.append(swap)
+    return swaps
+
+
 def test_cached_generators_are_automorphisms_of_the_canonical_graph():
     rng = Random(139)
     graphs = [random_proper_graph(rng, n=rng.randint(2, 10), dense=i % 2 == 1)
@@ -498,14 +510,117 @@ def test_generators_reach_every_automorphism_orbit():
         autos = [a for a in itertools.permutations(range(g.n))
                  if _induced_color_map(rep, a) is not None]
         iso = [v for v in range(g.n) if not rep.neighbor_colors[v]]
-        swaps = []
-        for x, y in zip(iso, iso[1:]):
-            swap = list(range(g.n))
-            swap[x], swap[y] = y, x
-            swaps.append(swap)
         gens = canonical_generators(g)
         assert all(a[v] == v for a in gens for v in iso)
-        assert _orbits(g.n, [*gens, *swaps]) == _orbits(g.n, autos)
+        assert _orbits(g.n, [*gens, *_isolated_swaps(g.n, iso)]) == \
+            _orbits(g.n, autos)
+
+
+def _check_inherited_walk(child):
+    """Check one search child against a fresh copy of it, which inherits
+    nothing; return how many maps the child inherited."""
+    n = child.n
+    inherited = child._cache.get("inherited", ())
+    iso = [v for v in range(n) if not child.neighbor_colors[v]]
+    for a in inherited:
+        assert _induced_color_map(child, a) is not None, child.edges
+        assert all(a[v] == v for v in iso), child.edges
+    fresh = build(n, child.edges)
+    key = canonical_key(child)
+    assert key == canonical_key(fresh), child.edges
+    # both walks place the isolated vertices first
+    swaps = _isolated_swaps(n, list(range(len(iso))))
+    assert _orbits(n, [*canonical_generators(child), *swaps]) == \
+        _orbits(n, [*canonical_generators(fresh), *swaps]), child.edges
+    return len(inherited)
+
+
+def _symmetric_parents(rng, ell):
+    """Canonical rainbow-P_ell-free graphs on at most 7 vertices that have
+    automorphism generators, each with its generators packed."""
+    sources = [build(7, [(0, i, i - 1) for i in range(1, 6)]),
+               build(6, [(0, 1, 0), (2, 3, 0), (4, 5, 0)]),
+               build(6, [(0, 1, 0), (2, 3, 1)]), d_star(3), _circulant(6)]
+    for _ in range(300):
+        g = random_proper_graph(rng, n=rng.randint(2, 7))
+        sources += [g, build(min(g.n + 2, 7), g.edges)]
+    parents = []
+    for src in sources:
+        gens = canonical_generators(src)
+        if gens and not has_rainbow_path(src, ell):
+            parents.append((canonical_form(src)[1],
+                            bytes(itertools.chain.from_iterable(gens))))
+    return parents
+
+
+def test_inherited_generators_leave_key_and_orbits_unchanged(monkeypatch):
+    # a search child inherits the parent's maps that fix its new edge and
+    # its color; the walk prunes with them, and must still find the key
+    # and the generator orbits a walk without them finds
+    inherited = 0
+    for ell in range(1, 6):
+        for g, gens in _symmetric_parents(Random(700 + ell), ell):
+            for colors in (None, 2, 3):
+                p = search.SearchProblem(max(g.n, 2), ell, "max_edges",
+                                         colors=colors)
+                for child in search._extend_one(g, p, gens):
+                    if not isinstance(child, str):
+                        inherited += _check_inherited_walk(child)
+    assert inherited
+    # every child of two grid points; (5, 5) caught a walk that pruned
+    # with maps that move the prefix, which the parents above did not
+    real = search._extend_one
+    for n, ell, objective, value in [(8, 3, "max_edges", 12),
+                                     (5, 5, "max_rainbow_cycles", 12)]:
+        children = []
+
+        def recorded(g, p, gens=None):
+            for child in real(g, p, gens):
+                if not isinstance(child, str):
+                    children.append(child)
+                yield child
+
+        monkeypatch.setattr(search, "_extend_one", recorded)
+        p = search.SearchProblem(n, ell, objective)
+        assert search.solve(p).value == value
+        assert sum(map(_check_inherited_walk, children))
+
+
+class _CountedRow(dict):
+    """A neighbor row that counts its `get` calls: the walk reads one
+    per cell of each candidate row it writes."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        _CountedRow.reads += 1
+        return dict.get(self, key, default)
+
+
+def test_inherited_generators_prune_tied_siblings(monkeypatch):
+    # K_(1,6) grown from K_(1,5) + K_1 inherits the parent's maps of the
+    # five old leaves, so of the six tied first vertices the walk tries
+    # only two, and fewer below them; without them it writes every row of
+    # all 6! leaf orders
+    monkeypatch.setattr(_CountedRow, "reads", 0)
+    src = build(7, [(0, i, i - 1) for i in range(1, 6)])
+    parent = canonical_form(src)[1]
+    gens = bytes(itertools.chain.from_iterable(canonical_generators(src)))
+    p = search.SearchProblem(7, 3, "max_edges")
+    [child] = [c for c in search._extend_one(parent, p, gens)
+               if not isinstance(c, str)]
+    assert len(child._cache["inherited"]) == 4
+    fresh = build(7, child.edges)
+    reads = []
+    for g in (child, fresh):
+        g._nbr = [_CountedRow(row) for row in g.neighbor_colors]
+        _CountedRow.reads = 0
+        canonical_key(g)
+        reads.append(_CountedRow.reads)
+    assert reads == [176, 12150]
+    # the first of each orbit is kept, so both walks reach the same first
+    # leaf here and give the same generators in the same labels
+    assert canonical_generators(child) == canonical_generators(fresh)
 
 
 def test_canonical_key_distinguishes_color_structure_not_labels():

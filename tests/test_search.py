@@ -520,12 +520,14 @@ def test_orbit_pruned_extension_events_are_frozen():
 
 
 def test_every_search_child_is_proper():
-    # the properness check runs on a fresh copy of each child
+    # each child is marked proper when it is made, so its walk skips the
+    # scan; the check runs on a fresh copy of each child
     for ell in (1, 3, 5):
         for g in _parents(400 + ell, ell, count=15):
             p = SearchProblem(max(g.n, 2), ell, "max_edges")
             for child in _extend_one(g, p):
                 if not isinstance(child, str):
+                    assert child._cache["proper"] is True
                     assert is_properly_colored(build(child.n, child.edges))
 
 
