@@ -34,13 +34,19 @@ component at a time, its vertices renumbered 0..size-1 in breadth-first
 order so that vertex masks span the component, not the graph (one that
 spans the graph keeps its ids). A component with at most ell vertices
 or fewer than ell colors holds no rainbow P_ell and is skipped. One
-table per vertex holds its rainbow halves of ell//2 edges, and a path's
-middle vertex (even ell) or middle edge (odd ell) joins two halves with
-disjoint color and vertex masks. Each table is walked once while the
-tables kept between middles fit in the bytes of `HALF_CEILING` halves on
-64 vertices, so a vertex walks about Delta^(ell/2) halves where each
-start walked about Delta^ell paths. Below 5, or where one table could
-take more than those bytes, the walk from every start runs instead.
+table per vertex holds its rainbow halves of ell//2 edges, grouped by
+color mask, and a path's middle vertex (even ell) or middle edge (odd
+ell) joins two halves with disjoint color and vertex masks. The join
+goes group against group: two groups whose common vertex masks (the
+AND of their halves') meet are skipped whole, and where the colors left
+beside a group number ell//2, the one group in those colors is looked
+up, not scanned for. On the constructions every color-compatible pair
+of groups ends at one vertex, so no two halves are compared. Each table
+is walked once while the tables kept between middles fit in the bytes
+of `HALF_CEILING` halves on 64 vertices, so a vertex walks about
+Delta^(ell/2) halves where each start walked about Delta^ell paths.
+Below 5, or where one table could take more than those bytes, the walk
+from every start runs instead.
 
 Each subgraph copy is stored once: a path starts at its smaller
 endpoint, its leaf taking the last edge only to an end above the start;
@@ -56,6 +62,8 @@ validated and changes nothing.
 from __future__ import annotations
 
 import gc
+from functools import reduce
+from operator import and_
 from typing import NamedTuple
 
 from .colored_graph import EdgeColoredGraph
@@ -71,7 +79,8 @@ MAX_LEN = 62
 #: list, about n/8 + 40 bytes on a component of n vertices; where that
 #: passes what the cap takes at 48 bytes a half, the walk from every
 #: start runs, which on a graph rich in rainbow paths stops at its first
-#: leaf. The tables kept for later middles fit in those bytes together;
+#: leaf. The tables kept for later middles fit in those bytes together,
+#: each group's common vertex mask weighed as one more half;
 #: past them a table is walked again for each middle.
 HALF_CEILING = 1 << 18
 
@@ -324,22 +333,26 @@ def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     At ell >= 5 the test runs on each connected component with more than
     ell vertices and at least ell colors, renumbered in breadth-first
     order. Each vertex's table holds its rainbow halves of h = ell//2
-    edges as vertex masks (the vertex left out) grouped by color mask. At
-    even ell a path's middle vertex m joins two halves of m's table with
-    disjoint color and vertex masks. At odd ell a path's middle edge
-    (x, y, c) joins a half of x's table to one of y's: disjoint as
-    before, neither using c, x's avoiding y and y's avoiding x. A table
-    serves every middle edge at its vertex and is dropped after the last;
-    the tables kept between middles weigh at most 48 * `HALF_CEILING`
-    bytes, a half about size // 8 + 40 of them on a component of `size`
-    vertices, and past that a table is walked again for each middle.
-    Below 5, and where Delta * (Delta - 1)^(h - 1) halves pass those
-    bytes (one table could be huge), a walk runs from every
-    start and stops at the first full-length path. At ell 3 and 4 the
-    tables were 1.6-2x slower on path-free graphs; at 5 they are about 3x
-    faster there (`d_star(5)`: 0.55 ms against 1.6 ms) and a few times
-    slower where a walk finds a path at once (`d_star(6)`: 0.15 ms
-    against 0.08 ms).
+    edges as vertex masks (the vertex left out) grouped by color mask,
+    each group with the AND of its masks. At even ell a path's middle
+    vertex m joins two halves of m's table with disjoint color and vertex
+    masks. At odd ell a path's middle edge (x, y, c) joins a half of x's
+    table to one of y's: disjoint as before, neither using c, x's
+    avoiding y and y's avoiding x. Groups whose ANDs meet are never
+    compared half by half, and a group meets only the one group in the
+    colors left where those number h. A table serves every middle edge
+    at its vertex and is dropped after the last; the tables kept between
+    middles weigh at most 48 * `HALF_CEILING` bytes, a half or a group's
+    AND about size // 8 + 40 of them on a component of `size` vertices,
+    and past that a table is walked again for each middle. Below 5, and
+    where Delta * (Delta - 1)^(h - 1) halves pass those bytes (one table
+    could be huge), a walk runs from every start and stops at the first
+    full-length path. At ell 3 and 4 the tables were 1.6-2x slower on
+    path-free graphs; at 5 they are about 5x faster there (`d_star(5)`:
+    0.3 ms against 1.6 ms), at 7 about 40x (`d_star(7)`: 9 ms against
+    0.4 s, of which building the tables takes about 6), and a few times
+    slower where a walk finds a path at once (`d_star(6)` at 5: 0.07 ms
+    against 0.02 ms).
     """
     _check_args(ell, 1)
     key = ("haspath", ell)
@@ -348,11 +361,15 @@ def has_rainbow_path(g: EdgeColoredGraph, ell: int) -> bool:
     return g._cache[key]
 
 
-def _halves(adj, v: int, h: int) -> dict[int, list[int]]:
-    # v's table: the vertex masks (v left out) of the h-edge rainbow paths
-    # from v, grouped by color mask; the walk stops one edge short and its
-    # leaf takes the last edge, so one call stores a whole fan of halves
-    table: dict[int, list[int]] = {}
+def _halves(adj, v: int, h: int) -> tuple[dict[int, tuple], int, int]:
+    # v's table (groups, colors, size): the vertex masks (v left out) of
+    # the h-edge rainbow paths from v, grouped by color mask, each group
+    # as (common, masks) with common the AND of its masks; colors the
+    # union of the color masks; size the halves plus one per group, each
+    # common mask weighed like a half. The walk stops one edge short and
+    # its leaf takes the last edge, so one call stores a whole fan of
+    # halves
+    groups: dict = {}
 
     def store(path, cols, cmask):
         base = 0
@@ -360,29 +377,56 @@ def _halves(adj, v: int, h: int) -> dict[int, list[int]]:
             base |= 1 << w
         for u, c in adj[path[-1]]:
             if not cmask >> c & 1 and u not in path:
-                table.setdefault(cmask | 1 << c, []).append(base | 1 << u)
+                groups.setdefault(cmask | 1 << c, []).append(base | 1 << u)
 
     _walk(adj, [v], [], 0, h - 1, store)
-    return table
+    colors = 0
+    size = len(groups)
+    for cm, vms in groups.items():
+        colors |= cm
+        size += len(vms)
+        groups[cm] = (reduce(and_, vms), vms)
+    return groups, colors, size
 
 
-def _meets(left: dict, right: dict, cmask: int, vmask: int) -> bool:
+def _meets(left: tuple, right: tuple, cmask: int, vmask: int,
+           h: int) -> bool:
     # some half of `left` and some half of `right` share no color and no
     # vertex, and neither uses a color of cmask or a vertex of vmask; a
-    # table met with itself pairs each two color masks once
-    for cm, vms in left.items():
+    # table met with itself pairs each two color masks once. A group pair
+    # whose common masks meet is skipped (every pair in it shares a
+    # vertex), as is a left half that, with vmask, meets the right group's
+    # common mask. Every half has h colors: where the right table's colors
+    # outside a left group's and cmask number h, only the group of those
+    # colors can fit, and it is looked up; with more, the groups are
+    # scanned
+    groups, colors, _ = right
+    for cm, (common, vms) in left[0].items():
         if cm & cmask:
             continue
         busy = cm | cmask
-        for other, group in right.items():
-            if other & busy or left is right and other <= cm:
+        rest = colors & ~busy
+        free = rest.bit_count()
+        if free == h:
+            group = groups.get(rest)
+            if group is None:
+                continue
+            scan = ((rest, group),)
+        elif free > h:
+            scan = groups.items()
+        else:
+            continue
+        for other, (wcommon, group) in scan:
+            if (other & busy or left is right and other <= cm
+                    or common & wcommon):
                 continue
             for vm in vms:
                 if not vm & vmask:
                     vm |= vmask
-                    for wm in group:
-                        if not vm & wm:
-                            return True
+                    if not vm & wcommon:
+                        for wm in group:
+                            if not vm & wm:
+                                return True
     return False
 
 
@@ -440,9 +484,9 @@ def _joins(adj, ell: int) -> bool:
     last = [0] * n
     for i, (x, y, _) in enumerate(middles):
         last[x] = last[y] = i
-    # tables kept for a later middle, `held` halves in all, weighed
-    # against the same bytes as one table
-    kept: dict[int, dict] = {}
+    # tables kept for a later middle, `held` halves and common masks in
+    # all, weighed against the same bytes as one table
+    kept: dict[int, tuple] = {}
     held = 0
     cap = 48 * HALF_CEILING // weight
     for i, (x, y, cmask) in enumerate(middles):
@@ -451,17 +495,15 @@ def _joins(adj, ell: int) -> bool:
             table = kept.get(v)
             if table is None:
                 table = _halves(adj, v, h)
-                if last[v] > i:
-                    size = sum(map(len, table.values()))
-                    if held + size <= cap:
-                        kept[v] = table
-                        held += size
+                if last[v] > i and held + table[2] <= cap:
+                    kept[v] = table
+                    held += table[2]
             elif last[v] == i:
                 del kept[v]
-                held -= sum(map(len, table.values()))
+                held -= table[2]
             pair.append(table)
         # no half holds its own start, so x's avoids y and y's avoids x
-        if _meets(pair[0], pair[-1], cmask, 1 << x | 1 << y):
+        if _meets(pair[0], pair[-1], cmask, 1 << x | 1 << y, h):
             return True
     return False
 

@@ -1051,6 +1051,129 @@ def test_capped_half_tables_keep_their_verdicts(monkeypatch):
     assert len(roots) > g.n
 
 
+def _count_group_joins(monkeypatch) -> dict:
+    """Patch `rainbow._halves` and `rainbow._meets` to count, over all
+    joins: `meets`, the calls; `scans`, the right tables whose groups are
+    scanned for one left group (each `items()` call but the left loop's
+    own); `lookups`, the groups looked up by color mask; `masks`, the
+    vertex masks read from the groups' lists, left halves and right ones
+    alike."""
+    counts = dict.fromkeys(("meets", "scans", "lookups", "masks"), 0)
+
+    class Masks(list):
+        def __iter__(self):
+            for vm in list.__iter__(self):
+                counts["masks"] += 1
+                yield vm
+
+    class Groups(dict):
+        def items(self):
+            counts["scans"] += 1
+            return dict.items(self)
+
+        def get(self, key, default=None):
+            counts["lookups"] += 1
+            return dict.get(self, key, default)
+
+    halves, meets = rainbow._halves, rainbow._meets
+
+    def counted_halves(adj, v, h):
+        groups, colors, size = halves(adj, v, h)
+        return (Groups({cm: (common, Masks(vms))
+                        for cm, (common, vms) in groups.items()}),
+                colors, size)
+
+    def counted_meets(*args):
+        counts["meets"] += 1
+        counts["scans"] -= 1
+        return meets(*args)
+
+    monkeypatch.setattr(rainbow, "_halves", counted_halves)
+    monkeypatch.setattr(rainbow, "_meets", counted_meets)
+    return counts
+
+
+def test_group_join_reads_no_vertex_mask_on_the_constructions(monkeypatch):
+    # in d_star(ell) the halves from x in color set S all end at one
+    # vertex, x with the bits of S flipped (the diagonal color flipping
+    # all), and each color-compatible pair of groups ends at the same one:
+    # the common masks skip every pair, and the one group of the colors
+    # left is looked up, never scanned. At 7 each of the 224 middle edges
+    # looks up a group for the 20 of x's 35 groups that avoid its color;
+    # at 8 each of the 128 middle vertices for its 70 groups
+    counts = _count_group_joins(monkeypatch)
+    for ell, middles, lookups in ((7, 224, 224 * 20), (8, 128, 128 * 70)):
+        counts.update(dict.fromkeys(counts, 0))
+        assert not has_rainbow_path(d_star(ell), ell)
+        assert counts == {"meets": middles, "scans": 0, "lookups": lookups,
+                          "masks": 0}
+    # a pendant edge in a new color leaves more than h colors outside a
+    # left group: the right groups are scanned and the halves compared
+    counts.update(dict.fromkeys(counts, 0))
+    g = d_star(7)
+    assert has_rainbow_path(build(g.n + 1, g.edges + ((0, g.n, 7),)), 7)
+    assert counts["scans"] and counts["masks"]
+
+
+def test_left_half_meeting_the_right_groups_common_vertex_is_skipped(
+        monkeypatch):
+    # the first middle edge (0, 1) in color 0: 0's group in colors {1, 2}
+    # holds 0-2-3 and 0-4-5, 1's group in {3, 4} holds 1-6-3 and 1-7-3,
+    # whose common vertex is 3. The half through 3 is read and skipped
+    # without reading 1's halves; 0-4-5 then meets 1-6-3 at once: three
+    # masks read, five if each left half were compared with each right one
+    counts = _count_group_joins(monkeypatch)
+    g = build(8, [(0, 1, 0), (0, 2, 1), (2, 3, 2), (0, 4, 2), (4, 5, 1),
+                  (1, 6, 3), (6, 3, 4), (1, 7, 4), (7, 3, 3)])
+    assert has_rainbow_path(g, 5)
+    assert counts == {"meets": 1, "scans": 0, "lookups": 1, "masks": 3}
+
+
+def _perturbed_construction(rng, ell: int, keep: float, i: int):
+    """d_star(ell), or for odd i lower_bound_graph's two blocks, each edge
+    kept with probability `keep`, then by i // 2 % 4: as it is (rainbow-
+    P_ell-free), one edge recolored at random (improper too), a chord
+    added in a random color, or a pendant edge added in the new color ell;
+    under shuffled ids."""
+    base = lower_bound_graph(2 << (ell - 1), ell) if i % 2 else d_star(ell)
+    n = base.n
+    edges = [e for e in base.edges if rng.random() < keep]
+    mode = i // 2 % 4
+    if mode == 1:
+        j = rng.randrange(len(edges))
+        edges[j] = (*edges[j][:2], rng.randrange(ell))
+    elif mode == 2:
+        u, v = rng.sample(range(n), 2)
+        if all({u, v} != {a, b} for a, b, _ in edges):
+            edges.append((u, v, rng.randrange(ell)))
+    elif mode == 3:
+        edges.append((rng.randrange(n), n, ell))
+        n += 1
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return build(n, [(ids[u], ids[v], c) for u, v, c in edges])
+
+
+@pytest.mark.parametrize("ell, keep, cases",
+                         [(5, 0.85, 24), (6, 0.6, 16), (7, 0.4, 16),
+                          (8, 0.27, 12)])
+def test_group_join_matches_brute_force_on_perturbed_constructions(
+        ell, keep, cases, monkeypatch):
+    # the brute force walks every simple walk, so the longer lengths thin
+    # their blocks more; both verdicts come up at each length, and both
+    # the lookup of one right group and the scan of them all run
+    counts = _count_group_joins(monkeypatch)
+    rng = Random(70 + ell)
+    verdicts = set()
+    for i in range(cases):
+        g = _perturbed_construction(rng, ell, keep, i)
+        got = has_rainbow_path(g, ell)
+        assert got == _has_rainbow_path_brute(g.n, g.neighbor_colors, ell)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    assert counts["lookups"] and counts["scans"]
+
+
 def _proper_extensions(g):
     """Every (u, v, c) that adds a non-edge of g and keeps it properly
     colored: c is any color free at both ends, or one new color."""
