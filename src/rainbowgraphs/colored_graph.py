@@ -8,9 +8,11 @@ package are invariant under color renaming, so normalization loses nothing.
 The module also provides the exact canonical form used for isomorph
 rejection: two graphs receive the same key iff some vertex bijection
 combined with some color bijection maps one onto the other. The
-canonicalizer builds one flat code, walking vertex orderings within a
-refined partition on an explicit stack and following only the least rows
-at each position; it starts with the isolated vertices placed in order.
+canonicalizer refines the vertices into cells, re-sorting after the
+first round only the cells that can still split, and builds one flat
+code, walking vertex orderings cell by cell on an explicit stack and
+following only the least rows at each position; it starts with the
+isolated vertices placed in order.
 A graph caches two records of the walk: the key holding that code, from
 which the canonical graph is built, and the automorphism generators its
 tied leaves give, in the canonical graph's labels. A search child may
@@ -168,29 +170,49 @@ def is_properly_colored(g: EdgeColoredGraph) -> bool:
 # Canonical form
 
 
-def _refined_ranks(g: EdgeColoredGraph) -> list[int]:
+def _refined_cells(g: EdgeColoredGraph) -> list[list[int]]:
     """Iterated refinement of vertex classes, invariant under vertex and
-    color permutations. Color identity enters only through class sizes.
-    A neighbor of rank r across a class of size s counts as r * (m+1) + s,
-    which sorts as the pair (r, s) does."""
+    color permutations: the cells in rank order, each ascending by id.
+    Color identity enters only through class sizes. Round 1 splits the
+    vertices by their sorted class sizes; each later round splits every
+    cell of two or more vertices by its members' sorted neighbors, a
+    neighbor of rank r (its cell's index) across a class of size s
+    counting as r * (m+1) + s, which sorts as the pair (r, s) does. A
+    cell of one vertex cannot split, so it is never keyed (McKay and
+    Piperno, 2014). It stops when a round splits nothing, when every
+    cell is a singleton, or at once when round 1 leaves one cell."""
     n = g.n
     nbr = g.neighbor_colors
     span = g.m + 1
     class_size = [0] * g.num_colors
     for _, _, c in g.edges:
         class_size[c] += 1
-    rank = [0] * n
-    distinct = 1
-    while True:
-        sig = [(rank[v], tuple(sorted([rank[u] * span + class_size[c]
-                                       for u, c in nbr[v].items()])))
-               for v in range(n)]
-        order = {s: i for i, s in enumerate(sorted(set(sig)))}
-        rank = [order[s] for s in sig]
-        # a discrete partition refines to itself
-        if len(order) == distinct or len(order) == n:
-            return rank
-        distinct = len(order)
+    split: dict[tuple, list[int]] = {}
+    for v in range(n):
+        split.setdefault(tuple(sorted([class_size[c]
+                                       for c in nbr[v].values()])),
+                         []).append(v)
+    cells = [split[s] for s in sorted(split)]
+    while 1 < len(cells) < n:
+        rank = [0] * n
+        for r, cell in enumerate(cells):
+            for v in cell:
+                rank[v] = r
+        finer = []
+        for cell in cells:
+            if len(cell) == 1:
+                finer.append(cell)
+                continue
+            split = {}
+            for v in cell:
+                split.setdefault(tuple(sorted([rank[u] * span + class_size[c]
+                                               for u, c in nbr[v].items()])),
+                                 []).append(v)
+            finer += [split[s] for s in sorted(split)]
+        if len(finer) == len(cells):
+            break
+        cells = finer
+    return cells
 
 
 def _find(orbit: list[int], x: int) -> int:
@@ -237,12 +259,13 @@ def _canonical_code(g: EdgeColoredGraph):
     the i-th placed vertex to the earlier ones: 0 for a non-edge, else
     1 + color slot, slots assigned in order of first appearance. Rows at one
     position have equal length, so flat codes compare as row sequences.
-    Allowed orderings respect the refined vertex partition (cells in rank
-    order), which is isomorphism-invariant, so the minimum is a complete
+    Allowed orderings take the cells of `_refined_cells` in rank order,
+    which is isomorphism-invariant, so the minimum is a complete
     invariant. A depth-first walk over a stack of prefixes finds it,
     pushing only the next vertices with the least row (a smaller sibling
-    row beats every completion of a larger one). Every stack entry shares
-    the rows of the path being walked, kept once in `rows`, so a prefix
+    row beats every completion of a larger one), and trying tied ones in
+    the cell's order, by id. Every stack entry shares the rows of the
+    path being walked, kept once in `rows`, so a prefix
     popped while a best code is known equals it up to its length, and
     only its least row is compared with the best's row at that position:
     a greater row drops the prefix, a smaller one clears the best, and the
@@ -284,13 +307,10 @@ def _canonical_code(g: EdgeColoredGraph):
     n = g.n
     if n == 0:
         return (), ()
-    rank = _refined_ranks(g)
+    cells = _refined_cells(g)
     nbr = g.neighbor_colors
-    cells: list[list[int]] = [[] for _ in range(max(rank) + 1)]
-    for v in range(n):
-        cells[rank[v]].append(v)
     # the cell every position draws from
-    cell_at = [cells[r] for r in sorted(rank)]
+    cell_at = [cell for cell in cells for _ in cell]
     iso = tuple(v for v in range(n) if not nbr[v])
 
     orbit = list(range(n))

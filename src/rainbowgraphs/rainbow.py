@@ -54,7 +54,10 @@ a cycle starts at its minimal vertex and goes next to the smaller of its
 two neighbors, as the walks from roots in id order produce it. Each
 witness is built in the walk's leaf (and once more if it is turned),
 through the tuple constructor (the named tuple's own `__new__` costs
-twice as much), and each list is sorted before return, so output is
+twice as much). The walks emit the witnesses in sorted order, since
+starts and adjacency rows ascend and the cycle roots, their rows and
+closing tables run from the highest id down (that list is reversed);
+only cycles turned from degree-ordered roots are sorted, so output is
 deterministic. Enumeration runs in the caller's thread; `threads` is
 validated and changes nothing.
 """
@@ -191,9 +194,9 @@ def _paths(g: EdgeColoredGraph, ell: int) -> list:
                 found.append(tuple.__new__(RainbowWitness, (
                     "path", (*path, u), (*cols, c))))
 
+    # starts and adjacency rows ascend, so the witnesses come out sorted
     for s in range(g.n):
         _walk(adj, [s], [], 0, ell - 1, leaf)
-    found.sort()
     return found
 
 
@@ -304,8 +307,11 @@ def _cycles(g: EdgeColoredGraph, ell: int) -> list:
         for u, c in adj[r]:
             above[u].append((r, c))
     if order is not None:
-        found = list(map(_id_oriented, found))
-    found.sort()
+        return sorted(map(_id_oriented, found))
+    # roots, `above` rows, first neighbors and closing rows all run from
+    # the highest id down, so in id order the witnesses come out strictly
+    # descending
+    found.reverse()
     return found
 
 
@@ -554,7 +560,8 @@ def _between(adj, x: int, y: int, ell: int, cmask: int) -> list:
     # the bits of cmask, as witnesses from x to y: y's closers, the
     # 2-paths through x left out, and a walk of ell - 2 edges from
     # [y, x], y kept off it, whose leaf closes through its last vertex's
-    # row
+    # row. The walk and the rows go up `adjacency`, so the witnesses come
+    # out ascending
     closers = _closers(adj, y, x)
     found = []
 
@@ -590,9 +597,7 @@ def rainbow_paths_between(g: EdgeColoredGraph, x: int, y: int, ell: int,
     if ell == 1:
         return [RainbowWitness("path", (x, y), (c,)) for z, c in adj[x]
                 if z == y and not cmask >> c & 1]
-    found = _between(adj, x, y, ell, cmask)
-    found.sort()
-    return found
+    return _between(adj, x, y, ell, cmask)
 
 
 def vertices_on_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> set[int]:

@@ -5,7 +5,8 @@ with the optimized modules: rainbow subgraphs are found by growing every
 simple walk one neighbor at a time, with no color test and no pruning,
 and filtering the walks at the end, the orientation of each copy
 included; the reference search enumerates every labeled graph together
-with every partition of its edges into matchings. These oracles define
+with every partition of its edges into matchings; the reference
+refinement re-sorts every vertex in every round. These oracles define
 correctness for the fast paths; tests assert exact agreement. The walks
 suit sparse graphs of a dozen or so vertices, the search only n <= 5.
 """
@@ -67,6 +68,34 @@ def naive_rainbow_cycles(g: EdgeColoredGraph, ell: int) -> list[RainbowWitness]:
     return sorted(RainbowWitness("cycle", seq, cols) for seq, cols
                   in _rainbow(g.neighbor_colors, range(g.n), ell, True)
                   if seq[0] == min(seq) and seq[1] < seq[-1])
+
+
+def naive_refined_cells(g: EdgeColoredGraph) -> list[list[int]]:
+    """The canonical form's refined vertex partition, as its cells in rank
+    order, each ascending. Every round ranks every vertex by its rank and
+    the sorted rank * (m + 1) + class size of its neighbors, until a round
+    splits nothing or every cell is a singleton."""
+    n = g.n
+    nbr = g.neighbor_colors
+    span = g.m + 1
+    class_size = [0] * g.num_colors
+    for _, _, c in g.edges:
+        class_size[c] += 1
+    rank = [0] * n
+    distinct = 1
+    while True:
+        sig = [(rank[v], tuple(sorted([rank[u] * span + class_size[c]
+                                       for u, c in nbr[v].items()])))
+               for v in range(n)]
+        order = {s: i for i, s in enumerate(sorted(set(sig)))}
+        rank = [order[s] for s in sig]
+        if len(order) == distinct or len(order) == n:
+            break
+        distinct = len(order)
+    cells: list[list[int]] = [[] for _ in order]
+    for v in range(n):
+        cells[rank[v]].append(v)
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ from rainbowgraphs.colored_graph import (MAX_VERTICES, EdgeColoredGraph,
                                          degree, graph_of_key,
                                          is_properly_colored)
 from rainbowgraphs.constructions import d_star, hypercube, lower_bound_graph
-from rainbowgraphs.corpus import _greedy_color, random_proper_graph
+from rainbowgraphs.corpus import (_greedy_color, random_colored_graph,
+                                  random_proper_graph)
 from rainbowgraphs.rainbow import has_rainbow_path
-from rainbowgraphs.reference import matching_partitions
+from rainbowgraphs.reference import matching_partitions, naive_refined_cells
 
 
 def _relabel(g, vperm, cperm):
@@ -247,9 +248,64 @@ def test_canonical_form_bytes_are_frozen():
 def _one_ordering(g):
     """True iff every cell of g's refined partition except the isolated
     vertices' holds one vertex, so only one vertex order is allowed."""
-    rank = colored_graph._refined_ranks(g)
-    ranks = [rank[v] for v in range(g.n) if g.neighbor_colors[v]]
-    return len(set(ranks)) == len(ranks)
+    return all(len(cell) == 1 for cell in colored_graph._refined_cells(g)
+               if g.neighbor_colors[cell[0]])
+
+
+def test_refined_cells_match_the_naive_refinement():
+    # re-sorting only the cells that can still split, and stopping at once
+    # on one cell, gives the cells, and the order within each, of
+    # re-sorting every vertex in every round
+    rng = Random(139)
+    graphs = [random_proper_graph(rng, n=n, dense=dense)
+              for n in range(1, 13) for dense in (False, True)
+              for _ in range(25)]
+    graphs += [random_colored_graph(rng, max_n=9) for _ in range(100)]
+    graphs += [_circulant(10), _circulant(12), lower_bound_graph(12, 3),
+               hypercube(4), d_star(4)]
+    assert any(not all(row) for row in
+               (g.neighbor_colors for g in graphs if g.m))
+    for g in graphs:
+        vperm = list(range(g.n))
+        cperm = list(range(g.num_colors))
+        rng.shuffle(vperm)
+        rng.shuffle(cperm)
+        for h in (g, _relabel(g, vperm, cperm)):
+            assert colored_graph._refined_cells(h) == \
+                naive_refined_cells(h), (h.n, h.edges)
+
+
+def _member_sorts(monkeypatch, g):
+    """(cells, sorts): `_refined_cells(g)` and how many members it sorted
+    the neighbors of after round 1, which sorts each vertex's class
+    sizes once. A member's keys are sorted as a list, a round's split
+    cells as a dict."""
+    calls = []
+
+    def counting(items):
+        calls.append(isinstance(items, list))
+        return sorted(items)
+
+    monkeypatch.setattr(colored_graph, "sorted", counting, raising=False)
+    cells = colored_graph._refined_cells(g)
+    monkeypatch.undo()
+    return cells, sum(calls) - g.n
+
+
+def test_refinement_sorts_no_cell_that_cannot_split(monkeypatch):
+    # round 1 discrete: no later round
+    g = build(5, [(0, 1, 0), (0, 3, 1), (1, 2, 2), (1, 3, 3), (1, 4, 1),
+                  (2, 3, 0)])
+    assert _member_sorts(monkeypatch, g) == ([[1], [2], [3], [4], [0]], 0)
+    # regular, every class of one size: round 1 leaves one cell, and no
+    # second round runs
+    g = lower_bound_graph(12, 3)
+    assert _member_sorts(monkeypatch, g) == ([list(range(12))], 0)
+    # round 1 leaves the cell {3, 4} last, after three singletons: round 2
+    # sorts the neighbors of 3 and 4 alone, and splits them, 4's neighbor
+    # 2 ranking below 3's neighbor 0
+    g = build(5, [(0, 2, 0), (0, 3, 1), (1, 2, 2), (2, 4, 1)])
+    assert _member_sorts(monkeypatch, g) == ([[1], [2], [0], [4], [3]], 2)
 
 
 def test_one_allowed_order_still_gives_a_canonical_code():

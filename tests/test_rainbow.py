@@ -351,14 +351,11 @@ def test_cycle_tables_are_not_quadratic_at_a_hub_labeled_last():
             assert time.perf_counter() - start < 1, (g.n, ell)
 
 
-def test_degree_ordered_roots_keep_the_id_orientation():
-    # small graphs whose hubs come last, so the roots go by degree and
-    # each witness is turned back to start at its minimal vertex
-    rng = Random(2929)
-    graphs = [_fan(9),
-              build(9, [(i, 8, i) for i in range(8)]
-                    + [(i, i + 1, 8 + i // 2) for i in range(0, 8, 2)])]
-    for _ in range(60):
+def _hubs_labeled_last(rng, count):
+    """Seeded graphs of 5-9 vertices, improper colorings among them, whose
+    last vertex is joined to most of the others."""
+    graphs = []
+    for _ in range(count):
         n = rng.randint(5, 9)
         pairs = {(v, n - 1) for v in range(n - 1) if rng.random() < 0.9}
         pairs |= {tuple(sorted(rng.sample(range(n - 1), 2)))
@@ -366,6 +363,17 @@ def test_degree_ordered_roots_keep_the_id_orientation():
         colors = rng.randint(3, len(pairs) + 1)
         graphs.append(build(n, [(u, v, rng.randrange(colors))
                                 for u, v in pairs]))
+    return graphs
+
+
+def test_degree_ordered_roots_keep_the_id_orientation():
+    # small graphs whose hubs come last, so the roots go by degree and
+    # each witness is turned back to start at its minimal vertex
+    rng = Random(2929)
+    graphs = [_fan(9),
+              build(9, [(i, 8, i) for i in range(8)]
+                    + [(i, i + 1, 8 + i // 2) for i in range(0, 8, 2)])]
+    graphs += _hubs_labeled_last(rng, 60)
     fired = found = 0
     for g in graphs:
         if rainbow._root_order(g.adjacency) is None:
@@ -378,6 +386,30 @@ def test_degree_ordered_roots_keep_the_id_orientation():
     assert fired >= 20 and found
     assert all(rainbow._root_order(g.adjacency) is not None
                for g in graphs[:2])
+
+
+def test_walks_emit_their_witnesses_sorted():
+    # no enumeration sorts what its walk emits, except cycles turned from
+    # degree-ordered roots: paths and paths between two vertices come out
+    # ascending, and cycles from roots in id order strictly descending,
+    # then reversed
+    rng = Random(3030)
+    graphs = [random_proper_graph(rng, n=rng.randint(3, 8),
+                                  dense=i % 2 == 1) for i in range(200)]
+    graphs += [random_colored_graph(rng, max_n=8) for _ in range(100)]
+    graphs += _hubs_labeled_last(rng, 40)
+    graphs += [_fan(9), d_star(5), d_star(6), lower_bound_graph(16, 3)]
+    hubs = found = 0
+    for g in graphs:
+        hubs += rainbow._root_order(g.adjacency) is not None
+        pairs = list(combinations(range(g.n), 2))
+        for ell in range(3, 7):
+            for ws in [rainbow._cycles(g, ell), rainbow._paths(g, ell)] + [
+                    rainbow_paths_between(g, x, y, ell)
+                    for x, y in rng.sample(pairs, min(len(pairs), 4))]:
+                assert ws == sorted(set(ws)), (g.n, g.edges, ell)
+                found += len(ws)
+    assert hubs >= 20 and found
 
 
 @pytest.mark.parametrize("enumerate_, ell", [(enumerate_rainbow_paths, 3),
